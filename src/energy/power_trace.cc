@@ -3,11 +3,49 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <sstream>
 
 #include "sim/logging.hh"
 
 namespace neofog {
+
+namespace {
+
+/**
+ * The canonical stepped sum over [at, to): trapezoids between absolute
+ * grid boundaries (multiples of @p grid), with partial cells at
+ * unaligned window edges, accumulated left to right.  On entry
+ * @p sample holds sample_at(at); on return @p at == @p to and
+ * @p sample holds sample_at(to).  Anchoring the substeps to the
+ * absolute grid — instead of to the window start — makes every call
+ * over the same span sum the same cells, which is what lets
+ * CumulativeTrace replace this loop with a prefix difference.
+ */
+template <class SampleAt>
+Energy
+steppedSum(Tick &at, Tick to, Tick grid, Power &sample,
+           SampleAt &&sample_at)
+{
+    Energy total = Energy::zero();
+    while (at < to) {
+        const Tick next = std::min<Tick>((at / grid + 1) * grid, to);
+        const Power cur = sample_at(next);
+        total += 0.5 * (sample + cur) * (next - at);
+        sample = cur;
+        at = next;
+    }
+    return total;
+}
+
+/** First whole-second grid point at or after @p t (t >= 0). */
+Tick
+secondCeil(Tick t)
+{
+    return (t + kSec - 1) / kSec * kSec;
+}
+
+} // namespace
 
 Energy
 PowerTrace::integrate(Tick from, Tick to) const
@@ -33,21 +71,8 @@ Energy
 TraceCursor::advance(Tick to)
 {
     NEOFOG_ASSERT(to >= _at, "trace cursor cannot move backwards");
-    // Trapezoids between absolute grid boundaries (multiples of
-    // _grid), with partial cells at unaligned window edges.  Anchoring
-    // the substeps to the absolute grid — instead of to `from` — makes
-    // every call over the same span sum the same cells, which is what
-    // lets CumulativeTrace replace this loop with a prefix difference.
-    Energy total = Energy::zero();
-    while (_at < to) {
-        const Tick next =
-            std::min<Tick>((_at / _grid + 1) * _grid, to);
-        const Power cur = _trace->at(next);
-        total += 0.5 * (_sample + cur) * (next - _at);
-        _sample = cur;
-        _at = next;
-    }
-    return total;
+    return steppedSum(_at, to, _grid, _sample,
+                      [this](Tick t) { return _trace->at(t); });
 }
 
 Energy
@@ -229,6 +254,15 @@ DiurnalSolarTrace::at(Tick t) const
     return _cfg.peak * (hump * _cfg.attenuation);
 }
 
+Energy
+DiurnalSolarTrace::integrate(Tick from, Tick to) const
+{
+    NEOFOG_ASSERT(from >= 0 && to >= from, "integrate bounds reversed");
+    if (from >= sunset())
+        return Energy::zero();
+    return integrateStepped(from, std::min(to, secondCeil(sunset())));
+}
+
 std::string
 DiurnalSolarTrace::describe() const
 {
@@ -271,13 +305,61 @@ class EnvelopedTrace : public PowerTrace
           _label(std::move(label))
     {}
 
+    // The fast trace stores relative multipliers encoded as watts; the
+    // envelope supplies the physical scale.  Multipliers are finite and
+    // >= 0 (randomMultiplierTrace clamps them), so wherever the
+    // envelope is zero the product is that same zero: both at() and
+    // integrate() evaluate the envelope first and read the segment
+    // level only where it is nonzero.
+
     Power
     at(Tick t) const override
     {
-        // The fast trace stores relative multipliers encoded as watts;
-        // the envelope supplies the physical scale.
-        const double mult = _fast.at(t).watts();
-        return _envelope.at(t) * mult;
+        const Power env = _envelope.at(t);
+        if (env.watts() == 0.0)
+            return env;
+        return env * _fast.at(t).watts();
+    }
+
+    /**
+     * Exactly integrateStepped(from, to): the same 1 s grid, the same
+     * samples and the same left-to-right trapezoid sum (steppedSum).
+     * It bisects for the segment at @p from once and walks forward
+     * from there, and stops at the first grid point at or after sunset
+     * (a window starting after sunset is not sampled at all).  Every
+     * sample it skips is +0.0, so each skipped trapezoid is +0.0, and
+     * adding +0.0 to the non-negative running sum leaves it unchanged.
+     */
+    Energy
+    integrate(Tick from, Tick to) const override
+    {
+        NEOFOG_ASSERT(from >= 0 && to >= from,
+                      "integrate bounds reversed");
+        const Tick sunset = _envelope.sunset();
+        if (from >= sunset)
+            return Energy::zero();
+        const auto &segs = _fast.segments();
+        // First segment starting after the sample; the one before it
+        // is active (none before the first segment: multiplier 0).
+        auto next = std::upper_bound(
+            segs.begin(), segs.end(), from,
+            [](Tick v, const PiecewiseTrace::Segment &s) {
+                return v < s.start;
+            });
+        const auto sample_at = [&](Tick t) {
+            const Power env = _envelope.at(t);
+            if (env.watts() == 0.0)
+                return env;
+            while (next != segs.end() && next->start <= t)
+                ++next;
+            const double mult =
+                next == segs.begin() ? 0.0 : std::prev(next)->level.watts();
+            return env * mult;
+        };
+        Tick at = from;
+        Power sample = sample_at(from);
+        return steppedSum(at, std::min(to, secondCeil(sunset)), kSec,
+                          sample, sample_at);
     }
 
     std::string

@@ -38,8 +38,8 @@ class PowerTrace
 
     /**
      * Energy delivered over [from, to).  The default evaluates the
-     * canonical stepped integrator (integrateStepped); analytic traces
-     * override this.
+     * canonical stepped integrator (integrateStepped); analytic,
+     * cached and exact fast-path traces override this.
      */
     virtual Energy integrate(Tick from, Tick to) const;
 
@@ -51,13 +51,6 @@ class PowerTrace
      * are defined against exactly this scheme.
      */
     Energy integrateStepped(Tick from, Tick to, Tick grid = kSec) const;
-
-    /**
-     * Whether integrate() is analytic/O(1) rather than sampled — such
-     * traces gain nothing from a prefix-sum cache and callers can skip
-     * streaming-cursor bookkeeping for them.
-     */
-    virtual bool hasFastIntegrate() const { return false; }
 
     /**
      * End (exclusive) of the maximal interval starting at @p t on
@@ -105,7 +98,6 @@ class ConstantTrace : public PowerTrace
 
     Power at(Tick) const override { return _level; }
     Energy integrate(Tick from, Tick to) const override;
-    bool hasFastIntegrate() const override { return true; }
     Tick constantLevelUntil(Tick) const override { return kTickNever; }
     std::string describe() const override;
 
@@ -131,7 +123,6 @@ class PiecewiseTrace : public PowerTrace
 
     Power at(Tick t) const override;
     Energy integrate(Tick from, Tick to) const override;
-    bool hasFastIntegrate() const override { return true; }
     Tick constantLevelUntil(Tick t) const override;
     std::string describe() const override;
 
@@ -165,7 +156,6 @@ class InterpolatedTrace : public PowerTrace
 
     Power at(Tick t) const override;
     Energy integrate(Tick from, Tick to) const override;
-    bool hasFastIntegrate() const override { return true; }
     Tick constantLevelUntil(Tick t) const override;
     std::string describe() const override;
 
@@ -180,6 +170,12 @@ class InterpolatedTrace : public PowerTrace
  * sunset scaled to a peak power, with optional uniform attenuation
  * (cloud cover / rain).  Time 0 is @p sunrise_offset after sunrise, so a
  * 5-hour experiment starting mid-morning uses an offset of a few hours.
+ *
+ * The envelope is a single hump and does not repeat: from sunset()
+ * (dayLength - sunriseOffset, about 9 h with the deployment defaults)
+ * on, at() is zero for the rest of the run.  A 24 h run therefore has
+ * income only in its first ~9 h; every enveloped deployment trace
+ * (forest, bridge, rain, mountain) inherits this.
  */
 class DiurnalSolarTrace : public PowerTrace
 {
@@ -195,9 +191,20 @@ class DiurnalSolarTrace : public PowerTrace
     explicit DiurnalSolarTrace(const Config &cfg) : _cfg(cfg) {}
 
     Power at(Tick t) const override;
+
+    /**
+     * Exactly integrateStepped(from, to), stepping only up to the
+     * first grid point at or after sunset: every later sample is
+     * +0.0, so the trapezoids it skips would add +0.0.
+     */
+    Energy integrate(Tick from, Tick to) const override;
+
     std::string describe() const override;
 
     const Config &config() const { return _cfg; }
+
+    /** Tick of sunset: at() is zero at and after it, for good. */
+    Tick sunset() const { return _cfg.dayLength - _cfg.sunriseOffset; }
 
   private:
     Config _cfg;
@@ -218,8 +225,6 @@ class ScaledTrace : public PowerTrace
     Power at(Tick t) const override { return _base->at(t) * _scale; }
     Energy integrate(Tick from, Tick to) const override
     { return _base->integrate(from, to) * _scale; }
-    bool hasFastIntegrate() const override
-    { return _base->hasFastIntegrate(); }
     Tick constantLevelUntil(Tick t) const override
     { return _base->constantLevelUntil(t); }
     std::string describe() const override;

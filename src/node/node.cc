@@ -141,7 +141,6 @@ Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
     _row = _shard->addRow(cfg.cap, cfg.rtc, cfg.sensor, cfg.buffer,
                           pendingDepthOf(cfg), makeRadio(cfg));
 
-    _traceFast = _trace->hasFastIntegrate();
     _wakeCostConst = _cpu->wakeEnergy() +
                      _cpu->computeEnergy(kControlInstructions);
     const double samples = static_cast<double>(_cfg.samplesPerPackage);
@@ -158,16 +157,6 @@ Node::Node(const Config &cfg, std::unique_ptr<PowerTrace> trace, Rng rng,
             .duration;
 }
 
-Energy
-Node::accrueIncome(Tick from, Tick to)
-{
-    if (_traceFast)
-        return _trace->integrate(from, to);
-    if (!_cursor || _cursor->position() != from)
-        _cursor.emplace(*_trace, from);
-    return _cursor->advance(to);
-}
-
 void
 Node::beginSlot(Tick slot_start, Tick slot_length)
 {
@@ -175,15 +164,14 @@ Node::beginSlot(Tick slot_start, Tick slot_length)
                   "beginSlot must move forward in time");
     NEOFOG_ASSERT(slot_length > 0, "slot length must be positive");
 
-    // Integrate income first (gap window, then slot window, so a
-    // streaming cursor advances monotonically), then run the shared
-    // banking arithmetic.  The integrals never touch capacitor/RTC
-    // state, so splitting them out is order-safe.
+    // Integrate income first (gap window, then slot window), then run
+    // the shared banking arithmetic.  The integrals never touch
+    // capacitor/RTC state, so splitting them out is order-safe.
     Energy gap_ambient = Energy::zero();
     if (slot_start > lastAccrualTime())
-        gap_ambient = accrueIncome(lastAccrualTime(), slot_start);
+        gap_ambient = _trace->integrate(lastAccrualTime(), slot_start);
     const Energy slot_ambient =
-        accrueIncome(slot_start, slot_start + slot_length);
+        _trace->integrate(slot_start, slot_start + slot_length);
     beginSlotWithIncome(slot_start, slot_length, gap_ambient,
                         slot_ambient);
 }

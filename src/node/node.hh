@@ -43,7 +43,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -422,9 +421,7 @@ class Node
      * shard row, so the walk reads/writes the row through the facade.
      * Constructor-derived members (config, trace, cost constants,
      * processor, front end, observer) are rebuilt deterministically by
-     * a resume's reconstruction.  The trace cursor is a pure cache of
-     * (_trace, window start) that accrueIncome() re-materializes
-     * bit-identically, so loading just drops it.
+     * a resume's reconstruction.
      */
     template <class Archive>
     void
@@ -486,7 +483,6 @@ class Node
                       " does not match its shard window of ", depth);
             std::copy(pending_by_age.begin(), pending_by_age.end(),
                       s.pendingAge.begin() + off);
-            _cursor.reset();
         }
     }
 
@@ -556,17 +552,8 @@ class Node
      */
     void refreshSlotCosts() const;
 
-    /**
-     * Trace income over [from, to).  Analytic/cached traces answer
-     * integrate() directly; sampled traces stream through _cursor so
-     * adjacent windows (gap + slot, slot after slot) sample each grid
-     * point once instead of re-evaluating every shared boundary.
-     */
-    Energy accrueIncome(Tick from, Tick to);
-
     Config _cfg;
-    std::unique_ptr<PowerTrace> _trace; // neofog-lint: allow(snapshot): the power trace is rebuilt from the scenario on resume; its sampling cursor is reset, not archived
-    std::optional<TraceCursor> _cursor;
+    std::unique_ptr<PowerTrace> _trace; // neofog-lint: allow(snapshot): the power trace is rebuilt from the scenario on resume
     Rng _rng;
 
     FrontEnd _frontend; // neofog-lint: allow(snapshot): stateless facade; the sensor/buffer state it fronts lives in the shard rows archived above
@@ -582,7 +569,6 @@ class Node
     // Construction-time cost constants: pure functions of the fixed
     // node configuration (the RF transmit cost, the sensor/buffer
     // sampling cost, the processor wake cost carry no mutable state).
-    bool _traceFast = false;        ///< _trace->hasFastIntegrate() // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
     Energy _wakeCostConst;          ///< wakeCost() // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
     Energy _sampleCostConst;        ///< sampleCost() // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)
     Energy _txPackageEnergy;        ///< mode-payload tx energy // neofog-lint: allow(snapshot): construction-time cost constant (pure function of the fixed node configuration)

@@ -302,7 +302,7 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
     EXPECT_EQ(sizeof(CloneGroup), 40u);
     EXPECT_EQ(sizeof(ChainProbe), 192u);
     EXPECT_EQ(sizeof(NodeStats), 168u);
-    EXPECT_EQ(sizeof(Node), 480u);
+    EXPECT_EQ(sizeof(Node), 440u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
     EXPECT_EQ(sizeof(ScenarioConfig), 512u);
@@ -668,6 +668,43 @@ TEST(Resume, ChainedResumeStaysBitIdentical)
     auto twice = FogSystem::resume(second.path(), 2);
     EXPECT_EQ(twice->resumeSlot(), 270);
     EXPECT_EQ(twice->run(), reference);
+}
+
+// Forest nodes (fig 10: an independent trace per node) integrate their
+// income straight from the trace, which keeps no stream position: a
+// resume split in daylight and one after sunset both land on the
+// uninterrupted run's bits.
+TEST(Resume, ForestSplitInDaylightAndAfterSunset)
+{
+    const ScratchDir dir("resume_forest");
+
+    ScenarioConfig cfg = presets::fig10(presets::fiosNeofog(), 0);
+    cfg.chains = 2;
+    cfg.horizon = 10 * kHour;
+    cfg.threads = 1;
+    const SystemReport reference = FogSystem(cfg).run();
+    EXPECT_GT(reference.totalProcessed(), 0u);
+
+    // Slot 1450 is 4 h 50 min in, in daylight; slot 2900 is 9 h
+    // 40 min in, past every forest node's sunset (8 h 50 min to 9 h).
+    ScenarioConfig snapping = cfg;
+    snapping.threads = 4;
+    snapping.snapshot.everySlots = 1450;
+    snapping.snapshot.dir = dir.path();
+    EXPECT_EQ(FogSystem(snapping).run(), reference);
+    ASSERT_EQ(snapping.slotCount(), 3000);
+
+    for (const std::int64_t split : {1450, 2900}) {
+        const std::string path =
+            dir.file(snapshot::snapshotFileName(split));
+        ASSERT_TRUE(fs::exists(path)) << path;
+        for (const unsigned threads : {1u, 4u}) {
+            auto resumed = FogSystem::resume(path, threads);
+            EXPECT_EQ(resumed->resumeSlot(), split);
+            EXPECT_EQ(resumed->run(), reference)
+                << "split " << split << ", threads " << threads;
+        }
+    }
 }
 
 } // namespace

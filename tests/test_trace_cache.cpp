@@ -11,14 +11,20 @@
  *    stepped integrator (same single trapezoid);
  *  - all other windows agree with the stepped reference to <= 1e-12
  *    relative;
+ *  - the diurnal and enveloped (forest/bridge/mountain) integrate()
+ *    fast paths are bit-identical to the stepped integrator on every
+ *    window;
  *  - the intermittent fast-forward reproduces the stepped reference's
  *    step counts exactly and its energy tallies to summation-rounding.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "energy/power_trace.hh"
@@ -169,8 +175,168 @@ TEST(CumulativeTrace, SharedAcrossScaledClones)
         const Tick to = from + 137 * kSec + node;
         EXPECT_EQ(view.integrate(from, to).joules(),
                   cache->integrate(from, to).joules() * gain);
-        EXPECT_TRUE(view.hasFastIntegrate());
     }
+}
+
+/** A diurnal-enveloped trace and the tick of its (single) sunset. */
+struct LitTrace
+{
+    std::shared_ptr<const PowerTrace> trace;
+    Tick sunset;
+};
+
+/**
+ * The deployment traces with an exact integrate() fast path (forest,
+ * bridge, mountain; each over the full span and over a 2 h horizon,
+ * so daylit windows also run past the last segment) plus bare
+ * diurnal envelopes, one with an unaligned sunset and one that starts
+ * before sunrise.
+ */
+std::vector<LitTrace>
+litTraceSet(Tick span)
+{
+    std::vector<LitTrace> set;
+    Rng rng(2024);
+    for (const Tick horizon : {span, 2 * kHour}) {
+        // The forest sunrise offset is the factory's first draw.
+        Rng probe = rng;
+        const Tick forest_sunset =
+            9 * kHour - ticksFromSeconds(probe.uniform(0, 600));
+        set.push_back({std::shared_ptr<const PowerTrace>(
+                           traces::makeForestTrace(rng, horizon, 2.6_mW)),
+                       forest_sunset});
+        set.push_back({std::shared_ptr<const PowerTrace>(
+                           traces::makeBridgeTrace(1, rng, horizon,
+                                                   2.4_mW)),
+                       10 * kHour});
+        set.push_back({std::shared_ptr<const PowerTrace>(
+                           traces::makeMountainTrace(rng, horizon,
+                                                     7.0_mW)),
+                       9 * kHour});
+    }
+    DiurnalSolarTrace::Config cfg;
+    cfg.sunriseOffset = 3 * kHour + 123'457;
+    auto bare = std::make_shared<DiurnalSolarTrace>(cfg);
+    set.push_back({bare, bare->sunset()});
+    cfg.sunriseOffset = -kHour;
+    cfg.attenuation = 0.4;
+    auto early = std::make_shared<DiurnalSolarTrace>(cfg);
+    set.push_back({early, early->sunset()});
+    return set;
+}
+
+/**
+ * Ticks in [lo, hi) where an enveloped trace's segment level changes,
+ * found from its samples alone.  In mid-day the envelope moves less
+ * than 1e-4 relative per second, so a larger jump between two whole
+ * seconds brackets a segment start, which bisection pins to the tick.
+ */
+std::vector<Tick>
+segmentStarts(const PowerTrace &trace, Tick lo, Tick hi)
+{
+    const auto jumps = [&trace](Tick a, Tick b) {
+        const double pa = trace.at(a).watts();
+        const double pb = trace.at(b).watts();
+        return std::abs(pb - pa) > 1e-3 * std::max(pa, pb);
+    };
+    std::vector<Tick> starts;
+    for (Tick t = lo; t + kSec <= hi; t += kSec) {
+        if (!jumps(t, t + kSec))
+            continue;
+        Tick a = t;
+        Tick b = t + kSec;
+        while (b - a > 1) {
+            const Tick mid = a + (b - a) / 2;
+            (jumps(a, mid) ? b : a) = mid;
+        }
+        starts.push_back(b);
+    }
+    return starts;
+}
+
+// The enveloped and diurnal integrate() overrides skip sunless
+// samples and walk segments forward, yet must return exactly the
+// canonical stepped sum on every window shape a run can produce.
+TEST(ExactIntegrate, MatchesSteppedOnEveryWindowShape)
+{
+    const Tick span = 32 * kHour;
+    Rng rng(31);
+    const auto tick_in = [&rng](Tick lo, Tick hi) {
+        return lo + static_cast<Tick>(rng.uniform() *
+                                      static_cast<double>(hi - lo));
+    };
+    int windows = 0;
+    int lit_straddles = 0;
+    for (const LitTrace &lit : litTraceSet(span)) {
+        const PowerTrace &trace = *lit.trace;
+        const Tick sunset = lit.sunset;
+        const std::string what = trace.describe();
+        // The sunset each factory is expected to use really is one.
+        ASSERT_GT(trace.at(sunset - 1).watts(), 0.0) << what;
+        ASSERT_EQ(trace.at(sunset).watts(), 0.0) << what;
+        const std::vector<Tick> starts =
+            segmentStarts(trace, kHour, 7 * kHour);
+        for (int i = 0; i < 1'280; ++i) {
+            Tick from = 0;
+            Tick to = 0;
+            switch (starts.empty() && i % 9 == 8 ? 7 : i % 9) {
+              case 0: // wholly at night
+                from = tick_in(sunset, span - 30 * kMin);
+                to = from + tick_in(0, 30 * kMin);
+                break;
+              case 1: // straddling sunset
+                from = tick_in(sunset - 10 * kMin, sunset);
+                to = tick_in(sunset + 1, sunset + 10 * kMin);
+                break;
+              case 2: // ending exactly at sunset
+                from = tick_in(sunset - 10 * kMin, sunset + 1);
+                to = sunset;
+                break;
+              case 3: // zero length, day or night
+                from = to = tick_in(0, span);
+                break;
+              case 4: // whole-second slot windows, as the engine runs
+                from = tick_in(0, span / (12 * kSec)) * 12 * kSec;
+                to = from + 12 * kSec;
+                break;
+              case 5: // crossing several segment starts in daylight
+                from = tick_in(0, sunset - kHour);
+                to = from + tick_in(20 * kMin, kHour);
+                break;
+              case 6: // daylight past the 2 h traces' last segment
+                from = tick_in(2 * kHour - 5 * kMin, sunset - kMin);
+                to = std::min(from + tick_in(0, 15 * kMin), span);
+                break;
+              case 7: // unaligned edges anywhere
+                from = tick_in(0, span - 10 * kMin);
+                to = from + tick_in(0, 10 * kMin);
+                break;
+              default: { // starting or ending on a segment start
+                const Tick start = starts[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          starts.size()) - 1))];
+                const Tick len = tick_in(0, 10 * kMin);
+                from = i % 2 == 0 ? start : start - len;
+                to = from + len;
+                break;
+              }
+            }
+            const double want = trace.integrateStepped(from, to).joules();
+            EXPECT_EQ(trace.integrate(from, to).joules(), want)
+                << what << " [" << from << ", " << to << ")";
+            if (i % 9 == 1 && want > 0.0)
+                ++lit_straddles;
+            ++windows;
+        }
+        // One window over the whole span, sunrise to past midnight.
+        EXPECT_EQ(trace.integrate(0, span).joules(),
+                  trace.integrateStepped(0, span).joules())
+            << what;
+    }
+    EXPECT_GE(windows, 10'000);
+    // Straddling windows must carry daylight income, or the sunset
+    // cutoff went untested.
+    EXPECT_GT(lit_straddles, windows / 12);
 }
 
 TEST(TraceCursor, StreamingWindowsMatchStepped)
