@@ -57,6 +57,10 @@ main()
     ResultSink sink("fig9_stored_energy");
     for (const auto &sut : systems) {
         ScenarioConfig cfg = presets::fig9(sut);
+        // Chain 0's physical nodes have ids 0..n-1; watch the three.
+        for (std::size_t ni : nodes_of_interest)
+            cfg.probes.watchNodes.push_back(
+                static_cast<std::uint32_t>(ni));
         FogSystem system(cfg);
         system.run();
 
@@ -64,11 +68,12 @@ main()
                     sut.label.c_str());
         for (std::size_t ni : nodes_of_interest) {
             const Node &node = system.node(0, ni);
-            const auto &series = node.stats().storedEnergyMj;
+            const std::vector<SeriesPoint> series =
+                system.nodeEnergySeries(0, ni, 0).points;
             out("  node %zu:", ni);
             const Tick step = 10 * kMin;
             Tick next = 0;
-            for (const auto &pt : series.points()) {
+            for (const auto &pt : series) {
                 if (pt.when >= next) {
                     out(" %5.0f", pt.value);
                     next += step;
@@ -77,10 +82,10 @@ main()
             const double overflow_mj =
                 node.capacitor().overflowTotal().millijoules();
             double mean_mj = 0.0;
-            for (const auto &pt : series.points())
+            for (const auto &pt : series)
                 mean_mj += pt.value;
-            if (!series.points().empty())
-                mean_mj /= static_cast<double>(series.points().size());
+            if (!series.empty())
+                mean_mj /= static_cast<double>(series.size());
             out("\n    overflow (rejected) total: %.1f mJ, "
                         "mean stored %.1f mJ\n", overflow_mj, mean_mj);
             const std::string key =

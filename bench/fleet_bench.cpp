@@ -4,11 +4,13 @@
  * kernel running city-sized deployments (100k+ chains, 1M+ total
  * nodes) — the scale the object-per-node layout could not stream.
  *
- * Four sections:
+ * Sections:
  *  - fleet throughput: build and run the full fleet, reporting
  *    slots_per_sec (chain-slots executed per wall-clock second) and
  *    bytes_per_node (resident SoA shard bytes / total nodes), with the
  *    batched slot kernel on vs off and the reports asserted identical;
+ *    plus bytes_per_node_horizon_flat, 1 when a small fleet holds the
+ *    same shard bytes per node after 10 slots as after 7200 (24 h);
  *  - thread sweep: the same fleet at --threads 1/2/4 must produce
  *    bit-identical reports (chain-order shard merge discipline);
  *  - snapshot resume: a mid-horizon checkpoint must resume onto the
@@ -93,6 +95,17 @@ fleetShardBytes(const FogSystem &sys)
     for (const auto &engine : sys.chains())
         bytes += engine->soa().residentBytes();
     return bytes;
+}
+
+/** Resident shard bytes per node of a small fleet after @p slots. */
+double
+bytesPerNodeAfter(std::int64_t slots)
+{
+    const ScenarioConfig cfg = fleetScenario(8, 10, slots);
+    FogSystem sys(cfg);
+    sys.run();
+    return static_cast<double>(fleetShardBytes(sys)) /
+           static_cast<double>(cfg.chains * cfg.nodesPerChain);
 }
 
 struct TimedRun
@@ -258,6 +271,18 @@ main(int argc, char **argv)
              nosimd_t.runSecs / batched_t.runSecs);
     sink.add("build_secs", batched_t.buildSecs);
     sink.add("bytes_per_node", bytes_per_node);
+
+    // Memory must not grow with the horizon: the same small fleet
+    // after 10 slots and after 24 h of 12 s slots.
+    const double short_bytes = bytesPerNodeAfter(10);
+    const double long_bytes = bytesPerNodeAfter(7'200);
+    out("shard bytes/node vs horizon (80 nodes): %.1f at 10 slots, "
+        "%.1f at 7200 slots\n",
+        short_bytes, long_bytes);
+    sink.add("bytes_per_node_10_slots", short_bytes);
+    sink.add("bytes_per_node_7200_slots", long_bytes);
+    sink.add("bytes_per_node_horizon_flat",
+             short_bytes == long_bytes ? 1.0 : 0.0);
     sink.add("reports_match_scalar", 1.0);
     sink.add("simd_matches_scalar", 1.0);
 

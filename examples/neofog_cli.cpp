@@ -29,6 +29,7 @@
 #include "fog/presets.hh"
 #include "sim/logging.hh"
 #include "sim/report_io.hh"
+#include "snapshot/snapshot.hh"
 
 using namespace neofog;
 
@@ -112,6 +113,10 @@ usage(const char *argv0)
         "                            (Linux; never affects results)\n"
         "  --dump-energy I           export node I's stored-energy "
         "series\n"
+        "                            (watches chain 0's node I; a "
+        "--resume\n"
+        "                            needs a checkpoint that watched "
+        "it)\n"
         "  --snapshot-every N        checkpoint every N slots "
         "(default off)\n"
         "  --snapshot-dir D          checkpoint directory "
@@ -142,8 +147,8 @@ printVersion()
                 "  neofog-run-v1\n"
                 "  neofog-series-v1\n"
                 "  neofog-bench-v1\n"
-                "  neofog-snapshot-v1\n",
-                NEOFOG_VERSION);
+                "  %s\n",
+                NEOFOG_VERSION, snapshot::kSchema);
 }
 
 bool
@@ -362,7 +367,21 @@ main(int argc, char **argv)
             // A resumed run rebuilds its scenario from the snapshot's
             // own config section; only the host-local knobs (threads,
             // the checkpoint schedule, the kernel/pinning selection)
-            // carry over from the command line.
+            // carry over from the command line, so a resumed run
+            // watches the nodes the checkpointed run watched.
+            //
+            // --dump-energy I watches chain 0's physical node I, whose
+            // global id is I (ids start at 0 in chain 0).
+            if (dump_energy >= 0 && resume_path.empty()) {
+                const std::size_t per_chain = cfg.nodesPerChain *
+                    static_cast<std::size_t>(cfg.multiplexing);
+                if (static_cast<std::size_t>(dump_energy) >= per_chain) {
+                    std::fprintf(stderr, "node index out of range\n");
+                    return 2;
+                }
+                cfg.probes.watchNodes.push_back(
+                    static_cast<std::uint32_t>(dump_energy));
+            }
             std::unique_ptr<FogSystem> system = resume_path.empty()
                 ? std::make_unique<FogSystem>(cfg)
                 : FogSystem::resume(resume_path, cfg.threads,
@@ -375,12 +394,8 @@ main(int argc, char **argv)
             // leave through the same exporter as the report.
             series = system->probeSeries();
             if (dump_energy >= 0) {
-                const auto idx = static_cast<std::size_t>(dump_energy);
-                if (idx >= system->physicalPerChain()) {
-                    std::fprintf(stderr, "node index out of range\n");
-                    return 2;
-                }
-                series.push_back(system->nodeEnergySeries(0, idx));
+                series.push_back(system->nodeEnergySeries(
+                    0, static_cast<std::size_t>(dump_energy)));
             }
         }
 

@@ -2,10 +2,9 @@
  * @file
  * PolicyRegistry: the self-describing factory for offloading policies.
  *
- * Replaces the stringly-typed makeBalancer(name) factory.  Each
- * policy registers once with a name, a one-line description, its
- * ParamSpec table, and a build function from resolved parameters; the
- * registry then:
+ * The only way to build a balancer by name.  Each policy registers
+ * once with a name, a one-line description, its ParamSpec table, and
+ * a build function from resolved parameters; the registry then:
  *
  *  - constructs a configured LoadBalancer from a spec string
  *    (`policy:key=val,...`, see policy_spec.hh), failing loudly with

@@ -70,13 +70,20 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     }
 #endif
 
-    // Each logical slot schedules exactly one clone, so a physical
-    // node records ~horizon/slotInterval/mux energy points; pre-size
-    // the series so the hot loop never grows it.
-    const std::size_t slots = static_cast<std::size_t>(
-        _cfg.slotInterval > 0 ? _cfg.horizon / _cfg.slotInterval : 0);
-    for (auto &n : _nodes)
-        n->stats().storedEnergyMj.reserve(slots / mux + 2);
+    // Watched nodes owned by this chain, in ascending row order with
+    // repeats dropped.  A node is scheduled at most once per slot —
+    // NVD4Q rotation can schedule a clone twice in a row, so
+    // slots/mux is no bound — so one point per slot of the horizon
+    // keeps the whole history: the ring never evicts.
+    std::vector<std::uint32_t> rows;
+    for (const std::uint32_t id : _cfg.probes.watchNodes)
+        if (id >= first_node_id && id - first_node_id < _nodes.size())
+            rows.push_back(id - first_node_id);
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    for (const std::uint32_t row : rows)
+        _probe.watched.push_back(
+            {row, RingSeries(static_cast<std::size_t>(_cfg.slotCount()))});
 
     if (_cfg.probes.enabled) {
         _probe.storedEnergyMj.reset(_cfg.probes.capacity);
@@ -164,11 +171,12 @@ ChainEngine::runSlot(std::int64_t slot_index)
         for (Node *n : scheduled)
             n->beginSlot(t, _cfg.slotInterval);
     }
-    for (Node *n : scheduled) {
-        n->recordEnergyPoint(t);
-        // A volatile node loses buffered-but-unprocessed data at
-        // power-off; NV buffers persist.
-        if (_cfg.mode == OperatingMode::NosVp)
+    if (!_probe.watched.empty())
+        recordWatched(scheduled, t);
+    // A volatile node loses buffered-but-unprocessed data at
+    // power-off; NV buffers persist.
+    if (_cfg.mode == OperatingMode::NosVp) {
+        for (Node *n : scheduled)
             n->discardPendingPackages();
     }
 
@@ -266,6 +274,30 @@ ChainEngine::beginSlotBatch(const std::vector<Node *> &scheduled, Tick t)
         n->beginSlotWithIncome(t, _cfg.slotInterval, gap,
                                nodeIncome(*n, t, slot_end));
     }
+}
+
+void
+ChainEngine::recordWatched(const std::vector<Node *> &scheduled, Tick now)
+{
+    // Physical rows are laid out group by group (row = logical *
+    // mux + member), so a watched row is scheduled exactly when its
+    // group picked it this slot.
+    const auto mux = static_cast<std::size_t>(_cfg.multiplexing);
+    for (WatchedNode &w : _probe.watched) {
+        const Node *n = _nodes[w.row].get();
+        if (scheduled[w.row / mux] == n)
+            w.storedEnergyMj.push(now,
+                                  n->capacitor().stored().millijoules());
+    }
+}
+
+const RingSeries *
+ChainEngine::watchedSeries(std::size_t physical_idx) const
+{
+    for (const WatchedNode &w : _probe.watched)
+        if (w.row == physical_idx)
+            return &w.storedEnergyMj;
+    return nullptr;
 }
 
 void

@@ -18,7 +18,9 @@
 #ifndef NEOFOG_FOG_CHAIN_ENGINE_HH
 #define NEOFOG_FOG_CHAIN_ENGINE_HH
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "balance/balancer.hh"
@@ -32,12 +34,22 @@
 
 namespace neofog {
 
+/** One watched node's stored-energy series (ProbeConfig::watchNodes). */
+struct WatchedNode
+{
+    /** Physical index within the chain (from the config, not archived). */
+    std::uint32_t row = 0;
+    /** Capacitor level (mJ) at each slot the node was scheduled. */
+    RingSeries storedEnergyMj;
+
+    bool operator==(const WatchedNode &other) const = default;
+};
+
 /**
  * Opt-in ring-buffered time-series samplers for one chain (see
- * ScenarioConfig::probes).  Fed at the end of each sampled slot from
- * chain-local state only — no RNG draws, no cross-chain reads — so
- * the samples are bit-identical for any thread count and enabling the
- * probe never perturbs the simulation.
+ * ScenarioConfig::probes).  Fed from chain-local state only — no RNG
+ * draws, no cross-chain reads — so the samples are bit-identical for
+ * any thread count and enabling a probe never perturbs the simulation.
  */
 struct ChainProbe
 {
@@ -45,10 +57,16 @@ struct ChainProbe
     RingSeries yieldFrac;          ///< cumulative delivered / chain ideal
     RingSeries balancedTasks;      ///< cumulative balancer shipments
     RingSeries depletionFailures;  ///< cumulative failed wakes
+    /** This chain's watched nodes, in ascending row order. */
+    std::vector<WatchedNode> watched;
 
     bool operator==(const ChainProbe &other) const = default;
 
-    /** Snapshot support (see src/snapshot/). */
+    /**
+     * Snapshot support (see src/snapshot/).  Watched rings are named
+     * by row, so a resume under a different watch list fails on the
+     * first mismatched path instead of misassigning a series.
+     */
     template <class Archive>
     void
     serialize(Archive &ar)
@@ -57,6 +75,9 @@ struct ChainProbe
         ar.io("yield_frac", yieldFrac);
         ar.io("balanced_tasks", balancedTasks);
         ar.io("depletion_failures", depletionFailures);
+        for (WatchedNode &w : watched)
+            ar.io("watch_node" + std::to_string(w.row),
+                  w.storedEnergyMj);
     }
 };
 
@@ -93,8 +114,15 @@ class ChainEngine
     /** This engine's report shard (valid after finalizeShard). */
     const SystemReport &shard() const { return _shard; }
 
-    /** This chain's probe series (empty unless cfg.probes.enabled). */
+    /**
+     * This chain's probe series: the aggregate rings are empty unless
+     * cfg.probes.enabled, `watched` holds this chain's share of
+     * cfg.probes.watchNodes.
+     */
     const ChainProbe &probe() const { return _probe; }
+
+    /** Watched series of physical node @p physical_idx, or nullptr. */
+    const RingSeries *watchedSeries(std::size_t physical_idx) const;
 
     std::size_t chainIndex() const { return _chainIndex; }
 
@@ -189,6 +217,12 @@ class ChainEngine
 
     /** Feed the probe rings from this slot's chain-local state. */
     void sampleProbe(std::int64_t slot_index, Tick now);
+
+    /**
+     * Record the stored energy of every watched node scheduled this
+     * slot (called right after income banking).
+     */
+    void recordWatched(const std::vector<Node *> &scheduled, Tick now);
 
     const ScenarioConfig &_cfg;
     std::size_t _chainIndex; // neofog-lint: allow(snapshot): chain position is construction-derived from the scenario layout

@@ -38,6 +38,16 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
     _cfg.balancerPolicy =
         PolicyRegistry::instance().canonicalSpec(_cfg.balancerPolicy);
 
+    // Every watched id must name a physical node of the whole
+    // scenario (a partition checks the global range, so all workers
+    // agree on what is valid).
+    const std::size_t total_nodes = _cfg.chains * physicalPerChain();
+    for (const std::uint32_t id : _cfg.probes.watchNodes)
+        if (id >= total_nodes)
+            fatal("watched node id ", id, " is out of range: the "
+                  "scenario has ", total_nodes,
+                  " physical nodes (ids 0..", total_nodes - 1, ")");
+
     // With the energy cache enabled, deployment-wide streams are
     // built once here and shared read-only by every chain: the rain
     // front is the same for all nodes up to a scalar gain, so one
@@ -416,11 +426,16 @@ FogSystem::dumpStats(std::ostream &os) const
                                      &st.samplesDiscarded);
             registry.registerCounter(prefix + "rtcResyncs",
                                      &st.rtcResyncs);
-            registry.registerSeries(prefix + "storedEnergyMj",
-                                    &st.storedEnergyMj);
         }
     }
     registry.dump(os);
+    for (const auto &engine : _engines) {
+        for (const WatchedNode &w : engine->probe().watched) {
+            os << "chain" << engine->chainIndex() << ".node" << w.row
+               << ".storedEnergyMj.points " << w.storedEnergyMj.size()
+               << "\n";
+        }
+    }
 }
 
 std::vector<report_io::LabeledSeries>
@@ -450,10 +465,15 @@ report_io::LabeledSeries
 FogSystem::nodeEnergySeries(std::size_t chain, std::size_t physical_idx,
                             std::size_t max_points) const
 {
-    const Node &n = node(chain, physical_idx);
+    NEOFOG_ASSERT(chain < _engines.size(), "chain index");
+    const RingSeries *ring = _engines[chain]->watchedSeries(physical_idx);
+    if (ring == nullptr)
+        fatal("chain ", chain, " node ", physical_idx,
+              " is not watched: add its id to "
+              "ScenarioConfig::probes.watchNodes");
     return {"chain" + std::to_string(chain) + ".node" +
                 std::to_string(physical_idx) + ".stored_mj",
-            "mJ", n.stats().storedEnergyMj.downsampled(max_points)};
+            "mJ", downsample(ring->snapshot(), max_points)};
 }
 
 const Node &

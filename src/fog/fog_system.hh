@@ -150,8 +150,9 @@ class FogSystem
     { return _engines; }
 
     /**
-     * Dump every node's counters and series sizes as "name value"
-     * lines (gem5-style), e.g. `chain0.node3.wakeups 117`.
+     * Dump every node's counters as "name value" lines (gem5-style),
+     * e.g. `chain0.node3.wakeups 117`, then each watched node's series
+     * size (`chain0.node3.storedEnergyMj.points 150`).
      */
     void dumpStats(std::ostream &os) const;
 
@@ -163,9 +164,10 @@ class FogSystem
     std::vector<report_io::LabeledSeries> probeSeries() const;
 
     /**
-     * One physical node's stored-energy series, export-ready (the
-     * path behind the CLI's --dump-energy), downsampled to at most
-     * @p max_points.
+     * One watched physical node's stored-energy series, export-ready
+     * (the path behind the CLI's --dump-energy), downsampled to at
+     * most @p max_points.  Fatal unless the node's id is in
+     * ScenarioConfig::probes.watchNodes.
      */
     report_io::LabeledSeries
     nodeEnergySeries(std::size_t chain, std::size_t physical_idx,

@@ -760,13 +760,6 @@ Node::remainingSlotTime() const
 }
 
 void
-Node::recordEnergyPoint(Tick now)
-{
-    statsRow().storedEnergyMj.record(now,
-                                     capView().stored().millijoules());
-}
-
-void
 Node::addPendingPackages(int delta)
 {
     if (delta >= 0) {

@@ -388,9 +388,6 @@ class Node
     NodeStats &stats() { return _shard->stats[_row]; }
     const NodeStats &stats() const { return _shard->stats[_row]; }
 
-    /** Record the capacitor level into the stats time series. */
-    void recordEnergyPoint(Tick now);
-
     /**
      * Attach a phase observer (nullptr detaches).  Not owned; must
      * outlive the node or be detached first.
@@ -518,7 +515,6 @@ class Node
     Sensor &sensorRow() const { return _shard->sensor[_row]; }
     NvBuffer &bufferRow() const { return _shard->buffer[_row]; }
     RfModule &rfRow() const { return *_shard->rf[_row]; }
-    NodeStats &statsRow() const { return _shard->stats[_row]; }
 
     /** Report a completed phase to the attached observer, if any. */
     void notifyPhase(NodeObserver::Phase phase, Tick start,

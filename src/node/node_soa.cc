@@ -130,9 +130,6 @@ NodeShard::residentBytes() const
     bytes += pendingDepth.capacity() * sizeof(std::uint32_t);
     bytes += pendingAge.capacity() * sizeof(int);
     bytes += stats.capacity() * sizeof(NodeStats);
-    for (const auto &st : stats)
-        bytes += st.storedEnergyMj.points().capacity() *
-                 sizeof(TimeSeries::Point);
     return bytes;
 }
 

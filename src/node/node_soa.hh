@@ -78,7 +78,6 @@ struct NodeStats
     Counter txFailures;       ///< packets lost after all retries
     Counter samplesDiscarded; ///< buffer data dropped for lack of energy
     Counter rtcResyncs;       ///< RTC resynchronizations paid
-    TimeSeries storedEnergyMj; ///< capacitor level over time (mJ)
 
     Energy harvestedTotal;    ///< ambient energy seen
     Energy spentCompute;
@@ -104,7 +103,6 @@ struct NodeStats
         ar.io("tx_failures", txFailures);
         ar.io("samples_discarded", samplesDiscarded);
         ar.io("rtc_resyncs", rtcResyncs);
-        ar.io("stored_energy_mj", storedEnergyMj);
         ar.io("harvested_total", harvestedTotal);
         ar.io("spent_compute", spentCompute);
         ar.io("spent_tx", spentTx);
@@ -153,8 +151,9 @@ class NodeShard
 
     /**
      * Bytes resident in the shard's arrays (capacity-based, including
-     * the per-row radio objects and the stats series points).  The
-     * fleet bench divides this by rows() for its bytes_per_node key.
+     * the per-row radio objects).  Nothing here grows with the slot
+     * index, so the figure is the same at any horizon.  The fleet
+     * bench divides this by rows() for its bytes_per_node key.
      */
     std::size_t residentBytes() const;
 

@@ -56,10 +56,10 @@ RingSeries::push(Tick when, double value)
     _head = (_head + 1) % _capacity;
 }
 
-std::vector<TimeSeries::Point>
+std::vector<SeriesPoint>
 RingSeries::snapshot() const
 {
-    std::vector<TimeSeries::Point> out;
+    std::vector<SeriesPoint> out;
     out.reserve(_buf.size());
     // Once the ring has wrapped, _head is the oldest sample.
     for (std::size_t i = 0; i < _buf.size(); ++i)

@@ -16,7 +16,9 @@
  * RingSeries + ProbeConfig are the opt-in time-series probe
  * primitives: fixed-capacity ring buffers a chain engine can feed
  * every slot without unbounded memory growth, exported as CSV/JSON
- * streams through report_io.
+ * streams through report_io.  They are the simulator's only time
+ * series: per-chain aggregates, plus the stored energy of explicitly
+ * watched nodes (ProbeConfig::watchNodes).
  */
 
 #ifndef NEOFOG_SIM_METRICS_HH
@@ -254,7 +256,7 @@ class RingSeries
     bool empty() const { return _buf.empty(); }
 
     /** Held samples, oldest first. */
-    std::vector<TimeSeries::Point> snapshot() const;
+    std::vector<SeriesPoint> snapshot() const;
 
     /** Exact equality of history (determinism checks). */
     bool operator==(const RingSeries &other) const;
@@ -277,7 +279,7 @@ class RingSeries
     }
 
   private:
-    std::vector<TimeSeries::Point> _buf;
+    std::vector<SeriesPoint> _buf;
     std::size_t _capacity = 0;
     std::size_t _head = 0; ///< next write position once full
     std::uint64_t _pushed = 0;
@@ -291,11 +293,22 @@ class RingSeries
  */
 struct ProbeConfig
 {
+    /** Per-chain aggregate rings (stored energy, yield, ...). */
     bool enabled = false;
     /** Ring capacity per probe series (newest samples win). */
     std::size_t capacity = 4096;
     /** Sample every Nth slot (decimation; min 1). */
     std::int64_t everySlots = 1;
+    /**
+     * Physical node ids (global, as Node::id()) whose stored energy is
+     * recorded at every slot the node is scheduled, after income
+     * banking.  Independent of `enabled`, `capacity` and
+     * `everySlots`: a watched node's ring holds one point per slot of
+     * the horizon, so it keeps the node's whole history.  Unwatched
+     * nodes record nothing, which keeps per-node memory and snapshot
+     * size flat in the horizon.  An id outside the scenario is fatal.
+     */
+    std::vector<std::uint32_t> watchNodes;
 
     /** Snapshot support (see src/snapshot/). */
     template <class Archive>
@@ -308,6 +321,7 @@ struct ProbeConfig
         if constexpr (Archive::isLoading)
             capacity = static_cast<std::size_t>(cap);
         ar.io("every_slots", everySlots);
+        ar.io("watch_nodes", watchNodes);
     }
 };
 

@@ -200,7 +200,7 @@ struct LabeledSeries
 {
     std::string name;
     std::string unit;
-    std::vector<TimeSeries::Point> points;
+    std::vector<SeriesPoint> points;
 };
 
 /**

@@ -95,19 +95,19 @@ Histogram::reset()
     _underflow = _overflow = _total = 0;
 }
 
-std::vector<TimeSeries::Point>
-TimeSeries::downsampled(std::size_t max_points) const
+std::vector<SeriesPoint>
+downsample(const std::vector<SeriesPoint> &points, std::size_t max_points)
 {
-    if (max_points == 0 || _points.size() <= max_points)
-        return _points;
-    std::vector<Point> out;
+    if (max_points == 0 || points.size() <= max_points)
+        return points;
+    std::vector<SeriesPoint> out;
     out.reserve(max_points);
     const std::size_t stride =
-        (_points.size() + max_points - 1) / max_points;
-    for (std::size_t i = 0; i < _points.size(); i += stride)
-        out.push_back(_points[i]);
-    if (out.back().when != _points.back().when)
-        out.push_back(_points.back());
+        (points.size() + max_points - 1) / max_points;
+    for (std::size_t i = 0; i < points.size(); i += stride)
+        out.push_back(points[i]);
+    if (out.back().when != points.back().when)
+        out.push_back(points.back());
     return out;
 }
 
@@ -126,13 +126,6 @@ StatRegistry::registerScalar(const std::string &name, const ScalarStat *s)
 }
 
 void
-StatRegistry::registerSeries(const std::string &name, const TimeSeries *t)
-{
-    NEOFOG_ASSERT(t, "null series: ", name);
-    _series[name] = t;
-}
-
-void
 StatRegistry::dump(std::ostream &os) const
 {
     for (const auto &[name, c] : _counters)
@@ -141,8 +134,6 @@ StatRegistry::dump(std::ostream &os) const
         os << name << ".mean " << s->mean() << "\n";
         os << name << ".count " << s->count() << "\n";
     }
-    for (const auto &[name, t] : _series)
-        os << name << ".points " << t->size() << "\n";
 }
 
 const Counter *
@@ -157,13 +148,6 @@ StatRegistry::findScalar(const std::string &name) const
 {
     auto it = _scalars.find(name);
     return it == _scalars.end() ? nullptr : it->second;
-}
-
-const TimeSeries *
-StatRegistry::findSeries(const std::string &name) const
-{
-    auto it = _series.find(name);
-    return it == _series.end() ? nullptr : it->second;
 }
 
 } // namespace neofog

@@ -1,7 +1,8 @@
 /**
  * @file
  * Lightweight statistics package: counters, scalars, histograms, and
- * time series, collected in a named registry that can be dumped as text.
+ * the (tick, value) point of a time series, with a named registry
+ * that can be dumped as text.
  *
  * Modeled loosely on gem5's stats: components own their stat objects and
  * register them by dotted name ("node3.wakeups").
@@ -101,46 +102,21 @@ class Histogram
 };
 
 /**
- * A (tick, value) series, e.g. a node's stored energy over time.
+ * One (tick, value) sample of a time series, e.g. a node's stored
+ * energy at a slot start (see RingSeries in sim/metrics.hh).
  */
-class TimeSeries
+struct SeriesPoint
 {
-  public:
-    struct Point
-    {
-        Tick when;
-        double value;
-    };
-
-    void record(Tick when, double value) { _points.push_back({when, value}); }
-    /** Pre-size for a known point count (one allocation, no growth). */
-    void reserve(std::size_t n) { _points.reserve(n); }
-    const std::vector<Point> &points() const { return _points; }
-    bool empty() const { return _points.empty(); }
-    std::size_t size() const { return _points.size(); }
-    void reset() { _points.clear(); }
-
-    /** Last recorded value, or fallback if empty. */
-    double lastValue(double fallback = 0.0) const
-    { return _points.empty() ? fallback : _points.back().value; }
-
-    /**
-     * Downsample to at most @p max_points by keeping every k-th point
-     * (always keeps the final point).  Used when printing figures.
-     */
-    std::vector<Point> downsampled(std::size_t max_points) const;
-
-    /** Snapshot support (see src/snapshot/). */
-    template <class Archive>
-    void
-    serialize(Archive &ar)
-    {
-        ar.io("points", _points);
-    }
-
-  private:
-    std::vector<Point> _points;
+    Tick when;
+    double value;
 };
+
+/**
+ * Downsample @p points to at most @p max_points by keeping every k-th
+ * point (always keeps the final point).  Used when printing figures.
+ */
+std::vector<SeriesPoint> downsample(const std::vector<SeriesPoint> &points,
+                                    std::size_t max_points);
 
 /**
  * Named collection of statistics owned by a simulation.
@@ -154,7 +130,6 @@ class StatRegistry
   public:
     void registerCounter(const std::string &name, const Counter *c);
     void registerScalar(const std::string &name, const ScalarStat *s);
-    void registerSeries(const std::string &name, const TimeSeries *t);
 
     /** Dump all registered stats as "name value" lines. */
     void dump(std::ostream &os) const;
@@ -162,12 +137,10 @@ class StatRegistry
     /** Look up a counter by name; nullptr if absent. */
     const Counter *findCounter(const std::string &name) const;
     const ScalarStat *findScalar(const std::string &name) const;
-    const TimeSeries *findSeries(const std::string &name) const;
 
   private:
     std::map<std::string, const Counter *> _counters;
     std::map<std::string, const ScalarStat *> _scalars;
-    std::map<std::string, const TimeSeries *> _series;
 };
 
 } // namespace neofog

@@ -386,11 +386,11 @@ OutArchive::io(std::string_view name, std::vector<double> &v)
 
 void
 OutArchive::io(std::string_view name,
-               std::vector<TimeSeries::Point> &v)
+               std::vector<SeriesPoint> &v)
 {
     begin(name, FieldType::VecPoint);
     appendLe64(_buf, v.size());
-    for (const TimeSeries::Point &p : v) {
+    for (const SeriesPoint &p : v) {
         appendLe64(_buf, static_cast<std::uint64_t>(p.when));
         appendLe64(_buf, doubleBits(p.value));
     }
@@ -572,7 +572,7 @@ InArchive::io(std::string_view name, std::vector<double> &v)
 
 void
 InArchive::io(std::string_view name,
-              std::vector<TimeSeries::Point> &v)
+              std::vector<SeriesPoint> &v)
 {
     const Record rec = expect(name, FieldType::VecPoint);
     const std::size_t count = vecCount(rec);

@@ -155,7 +155,7 @@ class OutArchive : public ScopedArchive
     void io(std::string_view name, std::vector<std::uint32_t> &v);
     void io(std::string_view name, std::vector<std::uint64_t> &v);
     void io(std::string_view name, std::vector<double> &v);
-    void io(std::string_view name, std::vector<TimeSeries::Point> &v);
+    void io(std::string_view name, std::vector<SeriesPoint> &v);
 
     /** Nested component: scoped recursion into T::serialize. */
     template <class T>
@@ -208,7 +208,7 @@ class InArchive : public ScopedArchive
     void io(std::string_view name, std::vector<std::uint32_t> &v);
     void io(std::string_view name, std::vector<std::uint64_t> &v);
     void io(std::string_view name, std::vector<double> &v);
-    void io(std::string_view name, std::vector<TimeSeries::Point> &v);
+    void io(std::string_view name, std::vector<SeriesPoint> &v);
 
     template <class T>
     void

@@ -1,6 +1,6 @@
 /**
  * @file
- * The neofog-snapshot-v1 checkpoint container.
+ * The neofog-snapshot-v2 checkpoint container.
  *
  * On-disk layout (all integers little-endian):
  *
@@ -12,7 +12,7 @@
  *
  * The JSON header is self-describing:
  *
- *     {"schema": "neofog-snapshot-v1", "slot": S,
+ *     {"schema": "neofog-snapshot-v2", "slot": S,
  *      "config_hash": "<16 hex>", "seed": N, "chains": C,
  *      "sections": [{"name": "config", "offset": 0, "size": N,
  *                    "hash": "<16 hex>"}, ...]}
@@ -24,6 +24,11 @@
  * endianness, schema tag, section bounds, and every checksum before
  * returning — a corrupt or truncated file is rejected with a
  * FatalError and never yields a partial snapshot.
+ *
+ * Version history: v2 dropped the per-node stored-energy series that
+ * v1 archived in every node section (it grew with the slot index) and
+ * added the watched-node rings to each chain's probe section.  A v1
+ * file is rejected on its schema tag before any section is decoded.
  *
  * Files are written atomically (temp file + rename) so a crash during
  * a checkpoint leaves at most a stale "<name>.tmp", never a torn
@@ -41,7 +46,7 @@
 namespace neofog::snapshot {
 
 /** Schema tag of the snapshot container format. */
-inline constexpr const char *kSchema = "neofog-snapshot-v1";
+inline constexpr const char *kSchema = "neofog-snapshot-v2";
 
 /** File magic (8 bytes at offset 0). */
 inline constexpr const char *kMagic = "NFSNAP01";

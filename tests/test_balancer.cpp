@@ -237,14 +237,5 @@ TEST(ClusterBalancer, RejectsBadConfig)
     EXPECT_THROW(ClusterBalancer{cfg}, FatalError);
 }
 
-TEST(MakeBalancer, FactoryNames)
-{
-    EXPECT_EQ(makeBalancer("none")->name(), "none");
-    EXPECT_EQ(makeBalancer("tree")->name(), "baseline-tree");
-    EXPECT_EQ(makeBalancer("cluster")->name(), "cluster-head");
-    EXPECT_EQ(makeBalancer("distributed")->name(), "neofog-distributed");
-    EXPECT_THROW(makeBalancer("bogus"), FatalError);
-}
-
 } // namespace
 } // namespace neofog

@@ -249,13 +249,44 @@ TEST(FogSystem, EnergyAccountingSane)
 
 TEST(FogSystem, StoredEnergySeriesRecorded)
 {
-    FogSystem sys(smallScenario(OperatingMode::NosNvp, "tree"));
+    ScenarioConfig cfg = smallScenario(OperatingMode::NosNvp, "tree");
+    cfg.probes.watchNodes = {3};
+    FogSystem sys(cfg);
     sys.run();
-    const auto &series = sys.node(0, 3).stats().storedEnergyMj;
+    const RingSeries *ring = sys.chains()[0]->watchedSeries(3);
+    ASSERT_NE(ring, nullptr);
+    // At mux 1 the node is scheduled every slot and the ring keeps
+    // every point.
+    EXPECT_EQ(ring->size(), static_cast<std::size_t>(cfg.slotCount()));
+    EXPECT_EQ(ring->dropped(), 0u);
+    const auto series = ring->snapshot();
     EXPECT_GT(series.size(), 100u);
-    for (const auto &pt : series.points()) {
+    for (const auto &pt : series) {
         EXPECT_GE(pt.value, 0.0);
         EXPECT_LE(pt.value, 250.0 + 1e-9);
+    }
+    // The export path reads the same ring; unwatched nodes have none.
+    EXPECT_EQ(sys.nodeEnergySeries(0, 3, 0).points.size(), series.size());
+    EXPECT_EQ(sys.chains()[0]->watchedSeries(2), nullptr);
+    EXPECT_THROW(sys.nodeEnergySeries(0, 2), FatalError);
+}
+
+TEST(FogSystem, WatchIdOutOfRangeThrows)
+{
+    // Ids are global physical node ids: 2 chains x 10 nodes x mux 2
+    // gives 0..39.  The last valid id builds; the next one is fatal.
+    ScenarioConfig cfg = smallScenario(OperatingMode::NosNvp, "none");
+    cfg.chains = 2;
+    cfg.multiplexing = 2;
+    cfg.probes.watchNodes = {39};
+    EXPECT_NO_THROW(FogSystem{cfg});
+    cfg.probes.watchNodes = {0, 40};
+    try {
+        FogSystem sys(cfg);
+        FAIL() << "watch id 40 accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("40"), std::string::npos)
+            << err.what();
     }
 }
 

@@ -259,6 +259,55 @@ TEST(Probes, BitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(Probes, WatchedSeriesBitIdenticalAcrossThreadCounts)
+{
+    // Forest at mux 1 and rain at mux 3 (clone scheduling and
+    // rotation decide which slots a watched clone records).  Ids span
+    // every chain; watching never changes the report.
+    ScenarioConfig forest = probeScenario(1);
+    forest.probes.enabled = false;
+    forest.probes.watchNodes = {0, 3, 14, 29};
+    ScenarioConfig rain = presets::fig13(presets::fiosNeofog(), 3);
+    rain.chains = 3;
+    rain.horizon = 30 * kMin;
+    rain.membershipUpdateInterval = 5 * kMin;
+    rain.probes.watchNodes = {0, 1, 2, 35, 89};
+    for (ScenarioConfig cfg : {forest, rain}) {
+        ScenarioConfig unwatched = cfg;
+        unwatched.probes.watchNodes.clear();
+        const SystemReport reference = FogSystem(unwatched).run();
+
+        cfg.threads = 1;
+        FogSystem serial(cfg);
+        cfg.threads = 4;
+        FogSystem threaded(cfg);
+        EXPECT_TRUE(serial.run() == reference);
+        EXPECT_TRUE(threaded.run() == reference);
+
+        std::size_t watched = 0;
+        for (std::size_t c = 0; c < cfg.chains; ++c) {
+            const ChainProbe &a = serial.chains()[c]->probe();
+            const ChainProbe &b = threaded.chains()[c]->probe();
+            ASSERT_EQ(a.watched.size(), b.watched.size());
+            for (std::size_t w = 0; w < a.watched.size(); ++w) {
+                EXPECT_EQ(a.watched[w].row, b.watched[w].row);
+                const auto pa = a.watched[w].storedEnergyMj.snapshot();
+                const auto pb = b.watched[w].storedEnergyMj.snapshot();
+                EXPECT_FALSE(pa.empty());
+                ASSERT_EQ(pa.size(), pb.size());
+                for (std::size_t p = 0; p < pa.size(); ++p) {
+                    EXPECT_EQ(pa[p].when, pb[p].when);
+                    EXPECT_EQ(pa[p].value, pb[p].value)
+                        << "chain " << c << " row "
+                        << a.watched[w].row << " point " << p;
+                }
+            }
+            watched += a.watched.size();
+        }
+        EXPECT_EQ(watched, cfg.probes.watchNodes.size());
+    }
+}
+
 TEST(Probes, DecimationAndCapacityBoundTheRings)
 {
     ScenarioConfig cfg = probeScenario(1);

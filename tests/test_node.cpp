@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "energy/power_trace.hh"
+#include "fog/fog_system.hh"
 #include "node/node.hh"
 #include "sim/logging.hh"
 
@@ -282,12 +283,44 @@ TEST(Node, RelativeTaskCostReflectsSpendthrift)
 
 TEST(Node, EnergyPointRecording)
 {
-    auto node = makeNode(OperatingMode::NosNvp, 1.0_mW);
-    node->beginSlot(0, kSlot);
-    node->recordEnergyPoint(0);
-    node->beginSlot(kSlot, kSlot);
-    node->recordEnergyPoint(kSlot);
-    EXPECT_EQ(node->stats().storedEnergyMj.size(), 2u);
+    // A watched node records its capacitor level once per slot it is
+    // scheduled (ProbeConfig::watchNodes).  Two logical nodes, two
+    // clones each: group 0 is rows {0, 1}, group 1 rows {2, 3}, and
+    // slot s schedules member s % 2 of every group.
+    ScenarioConfig cfg;
+    cfg.nodesPerChain = 2;
+    cfg.multiplexing = 2;
+    cfg.slotInterval = kSlot;
+    cfg.horizon = 4 * kSlot;
+    cfg.traceKind = TraceKind::Constant;
+    cfg.meanIncome = 1.0_mW;
+    cfg.mode = OperatingMode::NosNvp;
+    cfg.nodeTemplate = baseConfig(OperatingMode::NosNvp);
+    cfg.probes.watchNodes = {3, 0, 1, 0};
+    FogSystem sys(cfg);
+    sys.run();
+
+    const ChainEngine &chain = *sys.chains()[0];
+    EXPECT_EQ(chain.watchedSeries(2), nullptr);
+    ASSERT_EQ(chain.probe().watched.size(), 3u); // repeats dropped
+    const struct
+    {
+        std::size_t row;
+        Tick first;
+    } expect[] = {{0, 0}, {1, kSlot}, {3, kSlot}};
+    for (const auto &e : expect) {
+        const RingSeries *ring = chain.watchedSeries(e.row);
+        ASSERT_NE(ring, nullptr) << e.row;
+        EXPECT_EQ(ring->dropped(), 0u);
+        const auto pts = ring->snapshot();
+        ASSERT_EQ(pts.size(), 2u) << e.row;
+        EXPECT_EQ(pts[0].when, e.first);
+        EXPECT_EQ(pts[1].when, e.first + 2 * kSlot);
+        for (const auto &pt : pts) {
+            EXPECT_GT(pt.value, 0.0);
+            EXPECT_LE(pt.value, 250.0);
+        }
+    }
 }
 
 TEST(Node, GapAccrualForMultiplexedClones)

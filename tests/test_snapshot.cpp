@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -289,9 +290,9 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
 {
     EXPECT_EQ(sizeof(Rng), 48u);
     EXPECT_EQ(sizeof(Counter), 8u);
-    EXPECT_EQ(sizeof(TimeSeries), 24u);
+    EXPECT_EQ(sizeof(SeriesPoint), 16u);
     EXPECT_EQ(sizeof(RingSeries), 48u);
-    EXPECT_EQ(sizeof(ProbeConfig), 24u);
+    EXPECT_EQ(sizeof(ProbeConfig), 48u);
     EXPECT_EQ(sizeof(SuperCapacitor), 64u);
     EXPECT_EQ(sizeof(Rtc), 144u);
     EXPECT_EQ(sizeof(NvBuffer), 56u);
@@ -300,12 +301,13 @@ TEST(SnapshotFootprint, PinsEverySnapshottedStruct)
     EXPECT_EQ(sizeof(RfState), 48u);
     EXPECT_EQ(sizeof(LossModel), 40u);
     EXPECT_EQ(sizeof(CloneGroup), 40u);
-    EXPECT_EQ(sizeof(ChainProbe), 192u);
-    EXPECT_EQ(sizeof(NodeStats), 168u);
+    EXPECT_EQ(sizeof(WatchedNode), 56u);
+    EXPECT_EQ(sizeof(ChainProbe), 216u);
+    EXPECT_EQ(sizeof(NodeStats), 144u);
     EXPECT_EQ(sizeof(Node), 440u);
     EXPECT_EQ(sizeof(SystemReport), 216u);
     EXPECT_EQ(sizeof(Node::Config), 272u);
-    EXPECT_EQ(sizeof(ScenarioConfig), 512u);
+    EXPECT_EQ(sizeof(ScenarioConfig), 536u);
 }
 
 // ---------------------------------------------------------------------
@@ -705,6 +707,126 @@ TEST(Resume, ForestSplitInDaylightAndAfterSunset)
                 << "split " << split << ", threads " << threads;
         }
     }
+}
+
+// Nothing a node keeps grows with the slot index, so a checkpoint late
+// in the run is exactly as large as an early one (the v1 format
+// archived every node's stored-energy series and grew ~16 B per node
+// per slot).
+TEST(SnapshotSize, FlatInTheHorizon)
+{
+    const ScratchDir dir("flat_size");
+
+    ScenarioConfig forest = presets::fig10(presets::fiosNeofog(), 0);
+    ScenarioConfig rain = presets::fig13(presets::fiosNeofog(), 2);
+    for (ScenarioConfig cfg : {forest, rain}) {
+        cfg.chains = 2;
+        cfg.horizon = 2 * kHour;
+        // The JSON header prints the slot in decimal, so k and 4k are
+        // picked with the same number of digits.
+        constexpr std::int64_t kFirst = 100;
+        cfg.snapshot.everySlots = kFirst;
+        cfg.snapshot.dir = dir.path();
+        fs::remove_all(dir.path());
+        FogSystem(cfg).run();
+        const auto size_at = [&](std::int64_t slot) {
+            return fs::file_size(
+                dir.file(snapshot::snapshotFileName(slot)));
+        };
+        EXPECT_EQ(size_at(kFirst), size_at(4 * kFirst))
+            << traceKindName(cfg.traceKind) << " mux "
+            << cfg.multiplexing;
+    }
+}
+
+// A file of the previous schema is refused on its tag, by name, before
+// any section is decoded, and the refusal leaves nothing behind: the
+// same state under the current tag still resumes to the reference.
+TEST(SnapshotFile, RejectsV1SchemaWhole)
+{
+    const ScratchDir dir("v1_reject");
+    const ScratchDir old_dir("v1_only");
+
+    ScenarioConfig cfg = resumeScenario(1);
+    const SystemReport reference = FogSystem(cfg).run();
+    cfg.snapshot.everySlots = 100;
+    cfg.snapshot.dir = dir.path();
+    FogSystem(cfg).run();
+
+    const std::string current = dir.file(snapshot::snapshotFileName(100));
+    std::string bytes = slurp(current);
+    const std::string v2 = snapshot::kSchema;
+    const std::string v1 = "neofog-snapshot-v1";
+    ASSERT_EQ(v2, "neofog-snapshot-v2");
+    const std::size_t at = bytes.find(v2);
+    ASSERT_NE(at, std::string::npos);
+    bytes.replace(at, v2.size(), v1);
+    const std::string old = old_dir.file(snapshot::snapshotFileName(100));
+    spit(old, bytes);
+
+    for (const auto &load : std::vector<std::function<void()>>{
+             [&] { snapshot::readSnapshot(old); },
+             [&] { FogSystem::resume(old); },
+             [&] { FogSystem::resumePartition(old, cfg, 0, 1); }}) {
+        try {
+            load();
+            FAIL() << "v1 snapshot accepted";
+        } catch (const FatalError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find(v1), std::string::npos) << what;
+            EXPECT_NE(what.find(v2), std::string::npos) << what;
+        }
+    }
+    // A directory holding only v1 files has nothing to resume from.
+    EXPECT_EQ(snapshot::latestSnapshot(old_dir.path()), "");
+    EXPECT_THROW(FogSystem::resume(old_dir.path()), FatalError);
+
+    EXPECT_EQ(FogSystem::resume(current)->run(), reference);
+}
+
+// A watched node's series survives a checkpoint: the resumed run's
+// rings hold exactly the uninterrupted run's points, at any split and
+// thread count.
+TEST(Resume, WatchedSeriesContinueBitForBit)
+{
+    const ScratchDir dir("resume_watched");
+
+    ScenarioConfig cfg = resumeScenario(1);
+    cfg.membershipUpdateInterval = 5 * kMin;
+    cfg.probes.watchNodes = {0, 1, 2, 44, 89};
+    FogSystem reference(cfg);
+    const SystemReport report = reference.run();
+
+    ScenarioConfig snapping = cfg;
+    snapping.snapshot.everySlots = 75;
+    snapping.snapshot.dir = dir.path();
+    FogSystem(snapping).run();
+
+    for (const std::int64_t split : {75, 150, 225}) {
+        for (const unsigned threads : {1u, 4u}) {
+            auto resumed = FogSystem::resume(
+                dir.file(snapshot::snapshotFileName(split)), threads);
+            EXPECT_EQ(resumed->run(), report);
+            std::size_t watched = 0;
+            for (std::size_t c = 0; c < cfg.chains; ++c) {
+                const ChainProbe &want = reference.chains()[c]->probe();
+                const ChainProbe &got = resumed->chains()[c]->probe();
+                EXPECT_TRUE(got == want)
+                    << "chain " << c << ", split " << split
+                    << ", threads " << threads;
+                watched += got.watched.size();
+                for (const WatchedNode &w : got.watched)
+                    EXPECT_EQ(w.storedEnergyMj.dropped(), 0u);
+            }
+            EXPECT_EQ(watched, cfg.probes.watchNodes.size());
+        }
+    }
+
+    // The watch list is part of the archived scenario: a resume
+    // rebuilds it from the snapshot, never from the caller.
+    auto resumed = FogSystem::resume(dir.path());
+    EXPECT_EQ(resumed->config().probes.watchNodes,
+              cfg.probes.watchNodes);
 }
 
 } // namespace

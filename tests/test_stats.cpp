@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "sim/stats.hh"
 
@@ -103,40 +104,21 @@ TEST(Histogram, ResetClears)
     EXPECT_EQ(h.bucket(2), 0u);
 }
 
-TEST(TimeSeries, RecordsPoints)
+TEST(Downsample, KeepsEnds)
 {
-    TimeSeries t;
-    EXPECT_TRUE(t.empty());
-    t.record(10, 1.0);
-    t.record(20, 2.0);
-    EXPECT_EQ(t.size(), 2u);
-    EXPECT_DOUBLE_EQ(t.lastValue(), 2.0);
-    EXPECT_EQ(t.points()[0].when, 10);
-}
-
-TEST(TimeSeries, LastValueFallback)
-{
-    TimeSeries t;
-    EXPECT_DOUBLE_EQ(t.lastValue(-7.0), -7.0);
-}
-
-TEST(TimeSeries, DownsampleKeepsEnds)
-{
-    TimeSeries t;
+    std::vector<SeriesPoint> points;
     for (Tick i = 0; i < 1000; ++i)
-        t.record(i, static_cast<double>(i));
-    const auto down = t.downsampled(10);
+        points.push_back({i, static_cast<double>(i)});
+    const auto down = downsample(points, 10);
     EXPECT_LE(down.size(), 12u);
     EXPECT_EQ(down.front().when, 0);
     EXPECT_EQ(down.back().when, 999);
 }
 
-TEST(TimeSeries, DownsampleNoopWhenSmall)
+TEST(Downsample, NoopWhenSmall)
 {
-    TimeSeries t;
-    t.record(1, 1.0);
-    t.record(2, 2.0);
-    EXPECT_EQ(t.downsampled(10).size(), 2u);
+    const std::vector<SeriesPoint> points{{1, 1.0}, {2, 2.0}};
+    EXPECT_EQ(downsample(points, 10).size(), 2u);
 }
 
 TEST(StatRegistry, RegisterAndFind)
@@ -144,13 +126,10 @@ TEST(StatRegistry, RegisterAndFind)
     StatRegistry reg;
     Counter c;
     ScalarStat s;
-    TimeSeries t;
     reg.registerCounter("node0.wakeups", &c);
     reg.registerScalar("node0.income", &s);
-    reg.registerSeries("node0.energy", &t);
     EXPECT_EQ(reg.findCounter("node0.wakeups"), &c);
     EXPECT_EQ(reg.findScalar("node0.income"), &s);
-    EXPECT_EQ(reg.findSeries("node0.energy"), &t);
     EXPECT_EQ(reg.findCounter("missing"), nullptr);
 }
 

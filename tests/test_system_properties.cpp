@@ -114,6 +114,8 @@ TEST(SystemEndurance, ThreeDayRunStaysSane)
     ScenarioConfig cfg = presets::fig10(presets::fiosNeofog(), 0);
     cfg.horizon = 3 * 24 * kHour;
     cfg.seed = 77;
+    for (std::uint32_t i = 0; i < 10; ++i)
+        cfg.probes.watchNodes.push_back(i);
     FogSystem sys(cfg);
     const SystemReport r = sys.run();
     EXPECT_EQ(r.wakeups + r.depletionFailures, cfg.idealPackages());
@@ -122,8 +124,10 @@ TEST(SystemEndurance, ThreeDayRunStaysSane)
     // levels but the run completes and the accounting balances.
     EXPECT_LE(r.totalProcessed(), r.packagesSampled);
     for (std::size_t i = 0; i < 10; ++i) {
-        const auto &series = sys.node(0, i).stats().storedEnergyMj;
-        for (const auto &pt : series.points())
+        const RingSeries *ring = sys.chains()[0]->watchedSeries(i);
+        ASSERT_NE(ring, nullptr);
+        EXPECT_EQ(ring->dropped(), 0u);
+        for (const auto &pt : ring->snapshot())
             EXPECT_GE(pt.value, -1e-9);
     }
 }
@@ -132,6 +136,7 @@ TEST(SystemStats, DumpContainsPerNodeCounters)
 {
     ScenarioConfig cfg = presets::fig10(presets::fiosNeofog(), 0);
     cfg.horizon = 30 * kMin;
+    cfg.probes.watchNodes = {4};
     FogSystem sys(cfg);
     sys.run();
     std::ostringstream oss;
@@ -140,7 +145,10 @@ TEST(SystemStats, DumpContainsPerNodeCounters)
     EXPECT_NE(out.find("chain0.node0.wakeups"), std::string::npos);
     EXPECT_NE(out.find("chain0.node9.packagesInFog"),
               std::string::npos);
-    EXPECT_NE(out.find("storedEnergyMj.points"), std::string::npos);
+    // Only the watched node has a series: one point per slot at mux 1.
+    EXPECT_NE(out.find("chain0.node4.storedEnergyMj.points 150\n"),
+              std::string::npos);
+    EXPECT_EQ(out.find("chain0.node0.storedEnergyMj"), std::string::npos);
 }
 
 } // namespace

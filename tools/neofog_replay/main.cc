@@ -26,6 +26,11 @@
  * subsystem — and, in a partitioned diff, the chain and therefore the
  * worker — that went off-script.
  *
+ * Both sides must carry this build's snapshot schema (kSchema,
+ * neofog-snapshot-v2): a file of any other version, such as a v1
+ * checkpoint with its per-node stored-energy series, is an error
+ * (exit 2) that names both tags, never a half-read diff.
+ *
  * Exit codes: 0 identical, 1 diverged, 2 usage or I/O error.
  */
 
@@ -264,8 +269,10 @@ void usage(const char *argv0)
                  "Directories holding worker0/, worker1/, ... (the\n"
                  "partitioned layout of a --workers run) are merged\n"
                  "per slot and diff transparently against flat or\n"
-                 "partitioned streams.\n",
-                 argv0, argv0);
+                 "partitioned streams.\n"
+                 "\n"
+                 "Reads %s files only.\n",
+                 argv0, argv0, neofog::snapshot::kSchema);
 }
 
 } // namespace
