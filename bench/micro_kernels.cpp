@@ -257,9 +257,8 @@ runCapacitorMicro(bool smoke)
     buildMicroShard(scalar_shard, rows);
     buildMicroShard(kernel_shard, rows);
 
-    // The income integrals are hoisted exactly as ChainEngine's
-    // batched beginSlot does: constant traces make every slot's
-    // integral the same Energy, computed once per node here.
+    // Constant traces make every slot's income integral the same
+    // Energy, so it is computed once per node here.
     std::vector<Energy> slot_income;
     slot_income.reserve(rows);
     for (const auto &n : scalar_shard.nodes)

@@ -73,8 +73,8 @@ SuperCapacitor::setStored(Energy e)
 
 // CapacitorView mutators: SuperCapacitor's arithmetic on raw joule
 // cells.  Each statement mirrors the class method above — std::min
-// argument order included — because the scalar banking path runs
-// through these while the batched slot kernel replicates them
+// argument order included — because the scalar banking reference runs
+// through these while the column slot kernel replicates them
 // column-wise (shard_kernel.cc), and the two must stay bit-identical.
 
 Energy

@@ -124,7 +124,7 @@ class SuperCapacitor
  *
  * A NodeShard (node_soa.hh) stores the kernel-hot capacitor state as
  * contiguous double columns (joules) rather than embedded
- * SuperCapacitor objects, so the batched slot kernel can advance the
+ * SuperCapacitor objects, so the column slot kernel can advance the
  * columns in place without gathering whole objects.  CapacitorView is
  * the scalar-side facade over one row of those columns: the same
  * public API as SuperCapacitor, with every mutator replicating the

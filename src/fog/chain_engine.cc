@@ -10,14 +10,38 @@
 
 namespace neofog {
 
+namespace {
+
+/**
+ * Banking constants of the column kernel.  Every node of a chain is
+ * built from the scenario template (only id / rtc.interval vary, and
+ * neither feeds the banking arithmetic), so one parameter set serves
+ * the whole shard; the front end follows the mode as in Node.
+ */
+ShardSlotKernelParams
+kernelParams(const ScenarioConfig &cfg)
+{
+    const bool fios = cfg.mode == OperatingMode::FiosNvMote;
+    const FrontEnd frontend =
+        fios ? FrontEnd::makeFios() : FrontEnd::makeNos();
+    return ShardSlotKernelParams::fromConfigs(
+        cfg.nodeTemplate.cap, cfg.nodeTemplate.rtc, frontend.config(),
+        fios);
+}
+
+} // namespace
+
 ChainEngine::ChainEngine(const ScenarioConfig &cfg,
                          std::size_t chain_index,
                          std::uint32_t first_node_id, Rng rng,
                          std::shared_ptr<const PowerTrace> shared_trace)
     : _cfg(cfg), _chainIndex(chain_index), _rng(rng), _loss(cfg.loss),
       _balancer(PolicyRegistry::instance().make(cfg.balancerPolicy)),
-      _sharedTrace(std::move(shared_trace))
+      _sharedTrace(std::move(shared_trace)),
+      _kernel(kernelParams(cfg))
 {
+    NEOFOG_ASSERT(!_sharedTrace || _cfg.traceKind == TraceKind::RainLow,
+                  "only rain nodes scale the shared stream");
     const auto mux = static_cast<std::size_t>(_cfg.multiplexing);
     std::uint32_t next_id = first_node_id;
     _nodes.reserve(_cfg.nodesPerChain * mux);
@@ -45,30 +69,8 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
     _lbStates.reserve(_groups.size());
     _lbOutcome.moves.reserve(_groups.size());
     _windowMemo.reserve(4);
+    _kernelLanes.reserve(_groups.size());
     _balancerIsNoop = _balancer->name() == "none";
-
-    // What the batched slot kernel can hoist: identical constant
-    // levels, or per-node scalings of the scenario's shared stream.
-    if (_cfg.traceKind == TraceKind::Constant)
-        _hoist = IncomeHoist::Constant;
-    else if (_cfg.traceKind == TraceKind::RainLow && _sharedTrace)
-        _hoist = IncomeHoist::SharedScaled;
-
-#if !defined(NEOFOG_NO_SIMD_KERNEL)
-    // Vectorized slot kernel: every node of a chain shares the same
-    // template-derived banking constants (only id / rtc.interval vary,
-    // and neither feeds the banking arithmetic), so one parameter set
-    // serves the whole shard.  Scalar fallback: leave _kernel null.
-    if (_hoist != IncomeHoist::None && _cfg.simdKernel &&
-        !_nodes.empty()) {
-        _kernel = std::make_unique<ShardSlotKernel>(
-            ShardSlotKernelParams::fromConfigs(
-                _cfg.nodeTemplate.cap, _cfg.nodeTemplate.rtc,
-                _nodes.front()->frontend().config(),
-                _cfg.mode == OperatingMode::FiosNvMote));
-        _kernelLanes.reserve(_groups.size());
-    }
-#endif
 
     // Watched nodes owned by this chain, in ascending row order with
     // repeats dropped.  A node is scheduled at most once per slot —
@@ -165,12 +167,7 @@ ChainEngine::runSlot(std::int64_t slot_index)
     for (const CloneGroup &g : _groups)
         scheduled.push_back(_nodes[g.memberForSlot(slot_index)].get());
 
-    if (_cfg.batchSlotKernel && _hoist != IncomeHoist::None) {
-        beginSlotBatch(scheduled, t);
-    } else {
-        for (Node *n : scheduled)
-            n->beginSlot(t, _cfg.slotInterval);
-    }
+    bankSlot(scheduled, t);
     if (!_probe.watched.empty())
         recordWatched(scheduled, t);
     // A volatile node loses buffered-but-unprocessed data at
@@ -212,68 +209,46 @@ ChainEngine::runSlot(std::int64_t slot_index)
 }
 
 void
-ChainEngine::beginSlotBatch(const std::vector<Node *> &scheduled, Tick t)
+ChainEngine::bankSlot(const std::vector<Node *> &scheduled, Tick t)
 {
     const Tick slot_end = t + _cfg.slotInterval;
     _windowMemo.clear();
 
-    // Integral of the shared unit stream (SharedScaled) or of the one
-    // constant level every node sees (Constant) over a window.  A slot
-    // produces only a handful of distinct windows — the slot itself
-    // plus the accrual gaps of multiplexed clones — so a linear scan
-    // of the memo beats any hashing.
-    const auto unitIntegral = [&](Tick from, Tick to) -> Energy {
+    // Ambient income of node @p n over [from, to).  With the shared
+    // stream, a slot produces only a handful of distinct windows — the
+    // slot itself plus the accrual gaps of multiplexed clones — so the
+    // shared integral is memoized per window (a linear scan beats any
+    // hashing) and scaled per node exactly as ScaledTrace::integrate
+    // does.  Otherwise the node's own trace integrates.
+    const auto income = [&](const Node &n, Tick from, Tick to) -> double {
+        if (!_sharedTrace)
+            return n.trace().integrate(from, to).joules();
+        const double scale =
+            static_cast<const ScaledTrace &>(n.trace()).scale();
         for (const IncomeWindow &w : _windowMemo)
             if (w.from == from && w.to == to)
-                return w.unit;
-        const Energy u = _hoist == IncomeHoist::SharedScaled
-            ? _sharedTrace->integrate(from, to)
-            : scheduled.front()->trace().integrate(from, to);
-        _windowMemo.push_back({from, to, u});
-        return u;
-    };
-    // Exactly what the node's own trace would integrate: ConstantTrace
-    // integration is a pure function of the shared level, and
-    // ScaledTrace::integrate is base-integral * scale by definition.
-    const auto nodeIncome = [&](const Node &n, Tick from,
-                                Tick to) -> Energy {
-        const Energy u = unitIntegral(from, to);
-        if (_hoist == IncomeHoist::SharedScaled)
-            return u * static_cast<const ScaledTrace &>(n.trace())
-                           .scale();
-        return u;
+                return (w.unit * scale).joules();
+        _windowMemo.push_back({from, to, _sharedTrace->integrate(from, to)});
+        return (_windowMemo.back().unit * scale).joules();
     };
 
-    if (_kernel) {
-        // Vectorized path: feed the kernel the same income integrals
-        // the scalar calls below would receive, then run the scalar
-        // rollover tail per node (see Node::rolloverSlotState).
-        _kernelLanes.clear();
-        for (Node *n : scheduled) {
-            ShardSlotKernel::Lane lane;
-            lane.row = n->shardRow();
-            const Tick last = n->lastAccrualTime();
-            if (t > last) {
-                lane.gapTicks = t - last;
-                lane.gapJoules = nodeIncome(*n, last, t).joules();
-            }
-            lane.slotJoules = nodeIncome(*n, t, slot_end).joules();
-            _kernelLanes.push_back(lane);
-        }
-        _kernel->run(_soa, _kernelLanes, t, _cfg.slotInterval);
-        for (Node *n : scheduled)
-            n->rolloverSlotState();
-        return;
-    }
-
+    // Gap window before slot window, the order Node::beginSlot
+    // integrates them in.
+    _kernelLanes.clear();
     for (Node *n : scheduled) {
-        Energy gap = Energy::zero();
+        ShardSlotKernel::Lane lane;
+        lane.row = n->shardRow();
         const Tick last = n->lastAccrualTime();
-        if (t > last)
-            gap = nodeIncome(*n, last, t);
-        n->beginSlotWithIncome(t, _cfg.slotInterval, gap,
-                               nodeIncome(*n, t, slot_end));
+        if (t > last) {
+            lane.gapTicks = t - last;
+            lane.gapJoules = income(*n, last, t);
+        }
+        lane.slotJoules = income(*n, t, slot_end);
+        _kernelLanes.push_back(lane);
     }
+    _kernel.run(_soa, _kernelLanes, t, _cfg.slotInterval);
+    for (Node *n : scheduled)
+        n->rolloverSlotState();
 }
 
 void

@@ -164,28 +164,12 @@ class ChainEngine
     std::unique_ptr<PowerTrace> makeTrace();
 
     /**
-     * What the batched slot kernel can hoist out of the per-node
-     * beginSlot loop, decided once at construction from the trace
-     * shape (see beginSlotBatch).
+     * Bank the scheduled nodes' income at slot start @p t through the
+     * column kernel, then run each node's scalar rollover tail:
+     * bit-identical to node->beginSlot(t, slotInterval) per node (the
+     * oracle in tests/test_shard_kernel.cpp).
      */
-    enum class IncomeHoist
-    {
-        None,         ///< per-node traces are unrelated: no hoist
-        Constant,     ///< every node sees one identical constant level
-        SharedScaled, ///< per-node ScaledTrace views of one shared base
-    };
-
-    /**
-     * Batched beginSlot over the scheduled nodes: integrate each
-     * distinct accrual window once (per chain, per slot) and feed
-     * every node the shared integral through beginSlotWithIncome.
-     * Bit-identical to calling node->beginSlot(t, slotInterval) per
-     * node — Constant hoisting reuses the same pure integral every
-     * node would compute, SharedScaled multiplies the shared base
-     * integral by the node's scale exactly as ScaledTrace::integrate
-     * does.  Only called when _hoist != None and cfg.batchSlotKernel.
-     */
-    void beginSlotBatch(const std::vector<Node *> &scheduled, Tick t);
+    void bankSlot(const std::vector<Node *> &scheduled, Tick t);
 
     /** Rotate NVD4Q clone groups at the configured frequency. */
     void updateMembership(std::int64_t slot_index);
@@ -238,9 +222,6 @@ class ChainEngine
      */
     std::shared_ptr<const PowerTrace> _sharedTrace;
 
-    /** Hoist the batched slot kernel can apply (set at construction). */
-    IncomeHoist _hoist = IncomeHoist::None; // neofog-lint: allow(snapshot): construction-time kernel selection (pure function of the trace shape)
-
     /**
      * SoA state of every node in this chain (see node_soa.hh).  Must
      * be declared before _nodes: the Node facades point into these
@@ -264,24 +245,24 @@ class ChainEngine
     std::vector<LbNodeState> _lbStates; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
     LbOutcome _lbOutcome; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
 
-    /** One accrual window the batched slot kernel integrated. */
+    /** One accrual window of the shared stream integrated this slot. */
     struct IncomeWindow
     {
         Tick from;
         Tick to;
-        Energy unit; ///< shared-trace (or constant-level) integral
+        Energy unit; ///< shared-stream integral
     };
-    /** Windows integrated this slot (scratch for beginSlotBatch). */
-    std::vector<IncomeWindow> _windowMemo; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one beginSlotBatch; reconstructed empty on resume
+    /** Windows integrated this slot (scratch for bankSlot). */
+    std::vector<IncomeWindow> _windowMemo; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one bankSlot; reconstructed empty on resume
 
     /**
-     * Vectorized slot kernel (null when disabled — scalar fallback;
-     * see ScenarioConfig::simdKernel).  Bit-identical to the per-node
-     * path, so it carries no archived state of its own.
+     * Column slot kernel: banks every scheduled node each slot.  Pure
+     * function of the node template plus per-slot scratch columns, so
+     * it carries no archived state of its own.
      */
-    std::unique_ptr<ShardSlotKernel> _kernel; // neofog-lint: allow(snapshot): construction-time kernel selection plus per-slot scratch columns; no simulation state
+    ShardSlotKernel _kernel; // neofog-lint: allow(snapshot): construction-time banking constants plus per-slot scratch columns; no simulation state
     /** Per-slot kernel input scratch (rows + income integrals). */
-    std::vector<ShardSlotKernel::Lane> _kernelLanes; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one beginSlotBatch; reconstructed empty on resume
+    std::vector<ShardSlotKernel::Lane> _kernelLanes; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one bankSlot; reconstructed empty on resume
 
     SystemReport _shard;
     ChainProbe _probe;

@@ -132,8 +132,8 @@ class Rtc
  * sync flag / desync count live in double cells (1.0/0.0 and an exact
  * small integer — lossless in a double, and it keeps every kernel
  * column homogeneous).  advance() replicates Rtc::advance statement
- * for statement; the batched slot kernel runs the same program
- * column-wise, so all three paths stay bit-identical.
+ * for statement; the column slot kernel runs the same program
+ * column-wise, so all three stay bit-identical.
  */
 class RtcView
 {

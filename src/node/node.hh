@@ -29,9 +29,9 @@
  * including load balancing and virtualization.
  *
  * Node is a thin facade over one NodeShard row (see node_soa.hh and
- * DESIGN.md, "Memory layout: chain shards and the batched slot
- * kernel"): every mutable field lives in the shard's contiguous
- * arrays, the facade keeps only construction-derived objects (config,
+ * DESIGN.md, "Slot banking: chain shards and the column kernel"):
+ * every mutable field lives in the shard's contiguous arrays, the
+ * facade keeps only construction-derived objects (config,
  * trace, processor, front end, cost constants) plus the shard/row
  * binding.  A standalone Node (tests, single-node experiments) owns a
  * private one-row shard; chain nodes share their ChainEngine's shard.
@@ -218,11 +218,10 @@ class Node
 
     /**
      * beginSlot with the trace integrals supplied by the caller: the
-     * batched slot kernel (ChainEngine) hoists the per-window trace
-     * walk out of the per-node loop and feeds every node of a chain
-     * the shared closed-form integral.  @p gap_ambient must equal
-     * trace().integrate(lastAccrualTime(), slot_start) (ignored when
-     * there is no gap) and @p slot_ambient must equal
+     * scalar reference the column kernel (ShardSlotKernel, which banks
+     * every ChainEngine node) is tested against.  @p gap_ambient must
+     * equal trace().integrate(lastAccrualTime(), slot_start) (ignored
+     * when there is no gap) and @p slot_ambient must equal
      * trace().integrate(slot_start, slot_start + slot_length); the
      * arithmetic after the integrals is identical to beginSlot, so
      * the two entry points are bit-identical.
@@ -234,9 +233,9 @@ class Node
      * The non-arithmetic tail of the slot boundary: age the pending
      * queue (discarding stale packages) and power-cycle the volatile
      * peripherals.  beginSlotWithIncome calls this itself; the
-     * vectorized shard kernel (ShardSlotKernel) runs the banking
-     * arithmetic column-wise and then calls this per node, so the
-     * two paths stay bit-identical.
+     * ChainEngine runs the banking arithmetic column-wise through
+     * ShardSlotKernel and then calls this per node, so the two paths
+     * stay bit-identical.
      */
     void rolloverSlotState();
 

@@ -6,8 +6,7 @@
 namespace neofog {
 
 /*
- * Bit-identity notes (see also DESIGN.md, "Vectorization & memory
- * placement").  Every loop below is the scalar banking program of
+ * Bit-identity notes (see also DESIGN.md, "Slot banking").  Every loop below is the scalar banking program of
  * Node::beginSlotWithIncome with each library call inlined *in its
  * exact argument order*:
  *

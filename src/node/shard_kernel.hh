@@ -27,7 +27,7 @@
  * is unchanged and the auto-vectorizer is free to run independent
  * lanes side by side — vectorizing *across* nodes never reassociates
  * *within* a node, which is what keeps the result bit-identical to
- * the scalar path (DESIGN.md, "Vectorization & memory placement").
+ * the scalar path (DESIGN.md, "Slot banking").
  *
  * The kernel covers the banking half of beginSlotWithIncome (direct
  * flush, gap window, slot window, income/slot scalar resets); the
@@ -36,9 +36,9 @@
  * the ChainEngine calls per node after the kernel.  Rows are mutually
  * independent, so splitting the two halves across nodes is order-safe.
  *
- * The scalar fallback is Node::beginSlotWithIncome itself, selected by
- * the host-local ScenarioConfig::simdKernel knob (or a NEOFOG_SIMD=OFF
- * build, which compiles the kernel out of the dispatch entirely).
+ * The kernel is the fleet's only slot-banking path; the scalar
+ * Node::beginSlotWithIncome stays as the reference it is tested
+ * against (tests/test_shard_kernel.cpp).
  */
 
 #ifndef NEOFOG_NODE_SHARD_KERNEL_HH

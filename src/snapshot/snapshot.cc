@@ -1,10 +1,13 @@
 #include "snapshot/snapshot.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/report_io.hh"
@@ -15,6 +18,16 @@ namespace neofog::snapshot {
 namespace {
 
 namespace fs = std::filesystem;
+
+/**
+ * An intact snapshot file written under another schema: refused
+ * outright, never skipped like a torn file (see latestSnapshot).
+ */
+class ForeignSchema : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
 
 std::string
 toHex64(std::uint64_t v)
@@ -188,8 +201,9 @@ readSnapshot(const std::string &path)
     }();
     const std::string &schema = member(doc, "schema").asString();
     if (schema != kSchema)
-        fatal("snapshot file ", path, " has schema '", schema,
-              "', this build reads '", kSchema, "'");
+        throw ForeignSchema(detail::concat(
+            "snapshot file ", path, " has schema '", schema,
+            "', this build reads '", kSchema, "'"));
 
     Snapshot snap;
     snap.slot =
@@ -236,25 +250,28 @@ std::string
 latestSnapshot(const std::string &dir)
 {
     std::error_code ec;
-    std::int64_t best_slot = -1;
-    std::string best_path;
+    std::vector<std::pair<long long, std::string>> candidates;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename().string();
         long long slot = 0;
-        if (std::sscanf(name.c_str(), "snap-%lld.nfsnap", &slot) != 1
-            || name != snapshotFileName(slot))
-            continue;
-        if (slot <= best_slot)
-            continue;
-        try {
-            readSnapshot(entry.path().string());
-        } catch (const FatalError &) {
-            continue; // torn or corrupt candidate; keep scanning
-        }
-        best_slot = slot;
-        best_path = entry.path().string();
+        if (std::sscanf(name.c_str(), "snap-%lld.nfsnap", &slot) == 1
+            && name == snapshotFileName(slot))
+            candidates.emplace_back(slot, entry.path().string());
     }
-    return best_path;
+    // Newest first: the first candidate that reads is the answer, so
+    // older files are only opened when every newer one is torn.
+    std::sort(candidates.rbegin(), candidates.rend());
+    for (const auto &[slot, path] : candidates) {
+        try {
+            readSnapshot(path);
+            return path;
+        } catch (const ForeignSchema &) {
+            throw; // intact but unreadable here: never fall back past it
+        } catch (const FatalError &) {
+            // torn or corrupt candidate; try the next older one
+        }
+    }
+    return "";
 }
 
 std::string

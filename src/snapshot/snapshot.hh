@@ -93,16 +93,19 @@ Snapshot readSnapshot(const std::string &path);
 
 /**
  * Newest fully valid snapshot file in @p dir (highest slot whose file
- * passes readSnapshot), or "" when none qualifies.  Invalid or torn
+ * passes readSnapshot), or "" when none qualifies.  Torn or corrupt
  * candidates are skipped, so resuming "from the latest shard set"
- * survives a crash mid-checkpoint.
+ * survives a crash mid-checkpoint; an intact file of another schema
+ * is fatal (naming both schema tags) instead of skipped, so a resume
+ * never silently falls back past it to an older checkpoint.
  */
 std::string latestSnapshot(const std::string &dir);
 
 /**
  * Resolve a user-supplied --resume argument: a file path is returned
  * as-is; a directory resolves to its latest valid snapshot.  Fatal
- * when a directory holds no valid snapshot.
+ * when a directory holds no valid snapshot, or when latestSnapshot
+ * meets an intact file of another schema.
  */
 std::string resolveSnapshotPath(const std::string &path);
 

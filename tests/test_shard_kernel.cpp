@@ -1,202 +1,287 @@
 /**
  * @file
- * Property tests for the vectorized shard slot kernel
- * (ShardSlotKernel): running the banking arithmetic column-wise must
- * be bit-identical to the scalar Node::beginSlotWithIncome path on the
- * fig-13 preset, on constant income, and on randomized scenarios, at
- * every thread count; snapshots taken with the kernel on must resume
- * onto the same bits; and the simdKernel / pinThreads knobs must stay
- * outside the scenario fingerprint (host-local tuning, not simulated
- * state).  Registered under the "perf" ctest label next to the SoA
- * batch suite — these are the correctness guardrails of the
- * vectorization work.
- *
- * Under -DNEOFOG_SIMD=OFF the dispatch compiles the kernel out, so
- * the equality assertions hold trivially; the suite still runs to
- * keep the fallback build green.
+ * Oracle property test for the column slot kernel (ShardSlotKernel),
+ * the ChainEngine's only slot-banking path: ShardSlotKernel::run plus
+ * Node::rolloverSlotState on one shard must leave every state column
+ * and every harvestedTotal bit-for-bit where the scalar reference,
+ * Node::beginSlotWithIncome, leaves a twin shard fed the same income.
+ * Randomized slots cover dense lanes (whole shard or a consecutive
+ * sub-range, computed in place) and sparse lanes (mux-style and random
+ * row subsets, wider than one tile), FIOS and non-FIOS banking, zero
+ * income, capacitor overflow, RTC desync, and lanes with and without
+ * an accrual gap.  Registered under the "perf" ctest label.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "fog/fog_system.hh"
-#include "fog/presets.hh"
-#include "fog/snapshot_io.hh"
-#include "snapshot/snapshot.hh"
+#include "energy/power_trace.hh"
+#include "node/node.hh"
+#include "node/node_soa.hh"
+#include "node/shard_kernel.hh"
 
 namespace neofog {
 namespace {
 
-namespace fs = std::filesystem;
+constexpr Tick kSlot = 12 * kSec;
 
-/** Self-deleting scratch directory (mirrors test_snapshot's). */
-class ScratchDir
+/** A chain-like shard of @p rows nodes built from one template. */
+struct TwinShard
 {
-  public:
-    explicit ScratchDir(const std::string &tag)
-        : _path(fs::temp_directory_path() /
-                ("neofog_shard_kernel_test_" + tag))
+    TwinShard(const Node::Config &tmpl, std::size_t rows)
     {
-        fs::remove_all(_path);
-        fs::create_directories(_path);
+        shard.reserveRows(rows, static_cast<std::size_t>(std::max(
+                                    1, tmpl.packageDeadlineSlots)));
+        for (std::size_t r = 0; r < rows; ++r) {
+            Node::Config cfg = tmpl;
+            cfg.id = static_cast<std::uint32_t>(r);
+            nodes.push_back(std::make_unique<Node>(
+                cfg,
+                std::make_unique<ConstantTrace>(
+                    Power::fromMilliwatts(2.2)),
+                Rng(1000 + r), shard));
+        }
     }
-    ~ScratchDir() { fs::remove_all(_path); }
 
-    std::string file(const std::string &name) const
-    {
-        return (_path / name).string();
-    }
-    std::string path() const { return _path.string(); }
-
-  private:
-    fs::path _path;
+    NodeShard shard;
+    std::vector<std::unique_ptr<Node>> nodes;
 };
 
-SystemReport
-runWith(ScenarioConfig cfg, bool simd_kernel, unsigned threads)
+/** Bit pattern of a double, so -0.0 / NaN payloads compare exactly. */
+std::uint64_t
+bits(double v)
 {
-    cfg.simdKernel = simd_kernel;
-    cfg.threads = threads;
-    return FogSystem(cfg).run();
+    return std::bit_cast<std::uint64_t>(v);
 }
 
-// The fig-13 preset is the shape the kernel targets (every node a
-// scaled view of one shared rain stream, uniform node template):
-// vectorized and scalar banking must agree on every report bit at
-// every thread count, and both must agree with the fully per-node
-// path (batchSlotKernel off).
-TEST(ShardKernel, Fig13BitIdenticalToScalarBanking)
+void
+expectShardsEqual(const NodeShard &k, const NodeShard &s,
+                  const std::string &where)
 {
-    ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 3);
-    cfg.chains = 4;
-    cfg.horizon = kHour;
-    cfg.seed = 77;
-
-    const SystemReport scalar = runWith(cfg, false, 1);
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        EXPECT_EQ(runWith(cfg, true, threads), scalar)
-            << "shard kernel diverged at threads=" << threads;
+    using Column = std::vector<double> NodeShard::*;
+    const std::pair<const char *, Column> columns[] = {
+        {"capStoredJ", &NodeShard::capStoredJ},
+        {"capChargedJ", &NodeShard::capChargedJ},
+        {"capOverflowJ", &NodeShard::capOverflowJ},
+        {"capLeakedJ", &NodeShard::capLeakedJ},
+        {"capDischargedJ", &NodeShard::capDischargedJ},
+        {"rtcStoredJ", &NodeShard::rtcStoredJ},
+        {"rtcChargedJ", &NodeShard::rtcChargedJ},
+        {"rtcOverflowJ", &NodeShard::rtcOverflowJ},
+        {"rtcLeakedJ", &NodeShard::rtcLeakedJ},
+        {"rtcDischargedJ", &NodeShard::rtcDischargedJ},
+        {"rtcSync", &NodeShard::rtcSync},
+        {"rtcDesyncs", &NodeShard::rtcDesyncs},
+        {"directBudgetJ", &NodeShard::directBudgetJ}};
+    for (std::size_t r = 0; r < k.rows(); ++r) {
+        for (const auto &[name, column] : columns)
+            ASSERT_EQ(bits((k.*column)[r]), bits((s.*column)[r]))
+                << name << " row " << r << " " << where << ": kernel "
+                << (k.*column)[r] << " vs scalar " << (s.*column)[r];
+        ASSERT_EQ(bits(k.lastIncome[r].watts()),
+                  bits(s.lastIncome[r].watts()))
+            << "lastIncome row " << r << " " << where;
+        ASSERT_EQ(bits(k.stats[r].harvestedTotal.joules()),
+                  bits(s.stats[r].harvestedTotal.joules()))
+            << "harvestedTotal row " << r << " " << where;
     }
-
-    ScenarioConfig per_node = cfg;
-    per_node.batchSlotKernel = false;
-    EXPECT_EQ(FogSystem(per_node).run(), scalar)
-        << "scalar banking diverged from the per-node path";
+    EXPECT_EQ(k.lastAccrual, s.lastAccrual) << where;
+    EXPECT_EQ(k.slotStart, s.slotStart) << where;
+    EXPECT_EQ(k.slotLength, s.slotLength) << where;
+    EXPECT_EQ(k.slotTimeUsed, s.slotTimeUsed) << where;
+    EXPECT_EQ(k.awake, s.awake) << where;
+    EXPECT_EQ(k.rfInitializedThisSlot, s.rfInitializedThisSlot) << where;
+    EXPECT_EQ(k.slotCostsValid, s.slotCostsValid) << where;
+    EXPECT_EQ(k.pendingAge, s.pendingAge) << where;
 }
 
-// Constant income takes the other hoist arm (one pure integral shared
-// by every node) and drives different select outcomes in the flush /
-// overflow lanes.
-TEST(ShardKernel, ConstantTraceBitIdenticalToScalarBanking)
+/** Which rows one randomized slot wakes. */
+enum class LaneShape
 {
-    ScenarioConfig cfg;
-    cfg.chains = 3;
-    cfg.nodesPerChain = 8;
-    cfg.mode = OperatingMode::FiosNvMote;
-    cfg.traceKind = TraceKind::Constant;
-    cfg.meanIncome = Power::fromMilliwatts(2.2);
-    cfg.balancerPolicy = "distributed";
-    cfg.horizon = kHour;
-    cfg.seed = 8;
+    DenseAll,   ///< every row in order (mux 1 chain)
+    DenseRange, ///< a consecutive sub-range, in order
+    Mux,        ///< one member of each group of `mux` rows
+    Random,     ///< a random sorted subset
+};
 
-    const SystemReport scalar = runWith(cfg, false, 1);
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        EXPECT_EQ(runWith(cfg, true, threads), scalar)
-            << "shard kernel diverged at threads=" << threads;
+std::vector<std::uint32_t>
+pickRows(LaneShape shape, std::size_t rows, std::int64_t slot,
+         std::mt19937_64 &rng)
+{
+    std::vector<std::uint32_t> out;
+    switch (shape) {
+      case LaneShape::DenseAll:
+        for (std::size_t r = 0; r < rows; ++r)
+            out.push_back(static_cast<std::uint32_t>(r));
+        break;
+      case LaneShape::DenseRange: {
+        const std::size_t lo = rng() % rows;
+        const std::size_t hi = lo + 1 + rng() % (rows - lo);
+        for (std::size_t r = lo; r < hi; ++r)
+            out.push_back(static_cast<std::uint32_t>(r));
+        break;
+      }
+      case LaneShape::Mux: {
+        const std::size_t mux = 2 + rng() % 2;
+        for (std::size_t g = 0; g + mux <= rows; g += mux)
+            out.push_back(static_cast<std::uint32_t>(
+                g + static_cast<std::size_t>(slot) % mux));
+        break;
+      }
+      case LaneShape::Random:
+        for (std::size_t r = 0; r < rows; ++r)
+            if (rng() % 3 != 0)
+                out.push_back(static_cast<std::uint32_t>(r));
+        break;
+    }
+    return out;
+}
+
+/** An ambient income draw: zero, tiny, typical, or cap-flooding. */
+double
+incomeJoules(std::mt19937_64 &rng, Tick window)
+{
+    const double secs = secondsFromTicks(window);
+    switch (rng() % 5) {
+      case 0:
+        return 0.0;
+      case 1:
+        return 1e-9 * secs;
+      case 2:
+        return 10.0; // far past the main capacitor's capacity
+      default:
+        return std::uniform_real_distribution<double>(0.0, 6e-3)(rng) *
+               secs;
     }
 }
 
-// Randomized scenario sweep: whatever the trace family, mode,
-// balancer, and multiplexing, flipping simdKernel must never move a
-// single bit.  Non-FIOS modes exercise the no-direct-channel arm;
-// independent traces exercise the no-hoist fallback (kernel skipped).
-TEST(ShardKernel, RandomScenariosBitIdentical)
+/**
+ * Randomize the banking state of row @p r identically on both shards:
+ * stored levels from empty to full, RTC in or out of sync and
+ * sometimes too dry to keep its draw, a leftover FIOS direct budget,
+ * and an accrual cursor up to a few slots behind @p t0.
+ */
+void
+seedRow(NodeShard &k, NodeShard &s, std::size_t r, Tick t0,
+        const ShardSlotKernelParams &p, std::mt19937_64 &rng)
 {
-    std::minstd_rand pick(20260808);
-    const TraceKind kinds[] = {TraceKind::ForestIndependent,
-                               TraceKind::BridgeDependent,
-                               TraceKind::RainLow, TraceKind::Constant};
-    const OperatingMode modes[] = {OperatingMode::NosVp,
-                                   OperatingMode::NosNvp,
-                                   OperatingMode::FiosNvMote};
-    const char *balancers[] = {"none", "tree", "distributed",
-                               "cluster"};
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const double cap = rng() % 4 == 0 ? p.capCapacityJ
+                                      : unit(rng) * p.capCapacityJ;
+    const double rtc = rng() % 3 == 0 ? 0.0 : unit(rng) * p.rtcCapacityJ;
+    const double sync = rng() % 4 == 0 ? 0.0 : 1.0;
+    const double direct = p.fios && rng() % 2 == 0 ? unit(rng) * 1e-2 : 0.0;
+    const Tick last = t0 - static_cast<Tick>(rng() % 4) * kSlot;
+    for (NodeShard *sh : {&k, &s}) {
+        sh->capStoredJ[r] = cap;
+        sh->rtcStoredJ[r] = rtc;
+        sh->rtcSync[r] = sync;
+        sh->directBudgetJ[r] = direct;
+        sh->lastAccrual[r] = last;
+    }
+}
 
-    for (int round = 0; round < 6; ++round) {
-        ScenarioConfig cfg;
-        cfg.traceKind = kinds[pick() % 4];
-        cfg.mode = modes[pick() % 3];
-        cfg.balancerPolicy = balancers[pick() % 4];
-        cfg.chains = 1 + pick() % 3;
-        cfg.nodesPerChain = 4 + pick() % 7;
-        cfg.multiplexing = 1 + pick() % 3;
-        cfg.hopByHopRelay = pick() % 2 == 0;
-        cfg.realTimeRequestChance = pick() % 2 == 0 ? 0.0 : 0.01;
-        cfg.horizon = (20 + static_cast<Tick>(pick() % 20)) * kMin;
-        cfg.seed = 1 + pick() % 1000;
+void
+runOracle(OperatingMode mode, std::uint64_t seed)
+{
+    constexpr std::size_t kRows = 700; // sparse lanes span > 1 tile
+    constexpr int kSlots = 60;
+    const Tick t0 = 10 * kSlot;
 
-        const SystemReport scalar = runWith(cfg, false, 1);
-        for (const unsigned threads : {1u, 2u, 4u}) {
-            EXPECT_EQ(runWith(cfg, true, threads), scalar)
-                << "round " << round << ", threads " << threads
-                << ", trace " << traceKindName(cfg.traceKind)
-                << ", mode " << operatingModeName(cfg.mode)
-                << ", balancer " << cfg.balancerPolicy;
+    Node::Config tmpl;
+    tmpl.mode = mode;
+    tmpl.rtc.interval = kSlot;
+    TwinShard kernel_side(tmpl, kRows);
+    TwinShard scalar_side(tmpl, kRows);
+
+    const ShardSlotKernelParams params = ShardSlotKernelParams::fromConfigs(
+        tmpl.cap, tmpl.rtc, kernel_side.nodes.front()->frontend().config(),
+        mode == OperatingMode::FiosNvMote);
+    ShardSlotKernel kernel(params);
+
+    std::mt19937_64 rng(seed);
+    for (std::size_t r = 0; r < kRows; ++r)
+        seedRow(kernel_side.shard, scalar_side.shard, r, t0, params, rng);
+    expectShardsEqual(kernel_side.shard, scalar_side.shard, "at seeding");
+
+    std::size_t gap_lanes = 0;
+    std::size_t flush_lanes = 0;
+    std::vector<ShardSlotKernel::Lane> lanes;
+    for (int k = 0; k < kSlots; ++k) {
+        const Tick t = t0 + k * kSlot;
+        const auto shape = static_cast<LaneShape>(rng() % 4);
+        lanes.clear();
+        for (const std::uint32_t row :
+             pickRows(shape, kRows, k, rng)) {
+            ShardSlotKernel::Lane lane;
+            lane.row = row;
+            const Tick last = kernel_side.shard.lastAccrual[row];
+            if (t > last) {
+                lane.gapTicks = t - last;
+                lane.gapJoules = incomeJoules(rng, lane.gapTicks);
+                ++gap_lanes;
+            }
+            lane.slotJoules = incomeJoules(rng, kSlot);
+            if (kernel_side.shard.directBudgetJ[row] > 0.0)
+                ++flush_lanes;
+            lanes.push_back(lane);
         }
+
+        kernel.run(kernel_side.shard, lanes, t, kSlot);
+        for (const ShardSlotKernel::Lane &lane : lanes)
+            kernel_side.nodes[lane.row]->rolloverSlotState();
+        for (const ShardSlotKernel::Lane &lane : lanes)
+            scalar_side.nodes[lane.row]->beginSlotWithIncome(
+                t, kSlot, Energy::fromJoules(lane.gapJoules),
+                Energy::fromJoules(lane.slotJoules));
+
+        expectShardsEqual(kernel_side.shard, scalar_side.shard,
+                          "after slot " + std::to_string(k) +
+                              ", shape " +
+                              std::to_string(static_cast<int>(shape)));
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+
+    // The draws must actually reach the arms they are meant to cover.
+    double overflow = 0.0;
+    double desyncs = 0.0;
+    for (std::size_t r = 0; r < kRows; ++r) {
+        overflow += scalar_side.shard.capOverflowJ[r];
+        desyncs += scalar_side.shard.rtcDesyncs[r];
+    }
+    EXPECT_GT(gap_lanes, 0u);
+    EXPECT_GT(overflow, 0.0);
+    EXPECT_GT(desyncs, 0.0);
+    if (mode == OperatingMode::FiosNvMote) {
+        EXPECT_GT(flush_lanes, 0u);
     }
 }
 
-// Snapshot/resume with the kernel on: a mid-horizon checkpoint must
-// resume onto the uninterrupted run's exact report, whether the
-// resuming host keeps the kernel on, turns it off, or changes the
-// thread count — the knob is host-local tuning, not simulated state.
-TEST(ShardKernel, SnapshotResumeStaysBitIdentical)
+TEST(ShardKernelOracle, FiosMatchesScalarBanking)
 {
-    const ScratchDir dir("resume");
-
-    ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 3);
-    cfg.chains = 3;
-    cfg.horizon = kHour;
-    cfg.seed = 41;
-
-    const SystemReport reference = FogSystem(cfg).run();
-
-    constexpr std::int64_t kEvery = 9;
-    ScenarioConfig snapping = cfg;
-    snapping.snapshot.everySlots = kEvery;
-    snapping.snapshot.dir = dir.path();
-    EXPECT_EQ(FogSystem(snapping).run(), reference);
-
-    const std::int64_t split = kEvery * 2;
-    const std::string path = dir.file(snapshot::snapshotFileName(split));
-    ASSERT_TRUE(fs::exists(path)) << path;
-    for (const bool simd : {true, false}) {
-        for (const unsigned threads : {1u, 4u}) {
-            auto resumed = FogSystem::resume(path, threads, {}, simd);
-            EXPECT_EQ(resumed->resumeSlot(), split);
-            EXPECT_EQ(resumed->run(), reference)
-                << "resume diverged at simd=" << simd
-                << ", threads=" << threads;
-        }
-    }
+    for (const std::uint64_t seed : {1u, 2u, 3u})
+        runOracle(OperatingMode::FiosNvMote, seed);
 }
 
-// simdKernel and pinThreads are host-local: two configs differing
-// only in those knobs must serialize to the same blob and fingerprint,
-// so a resume may flip them freely.
-TEST(ShardKernel, SimdKernelExcludedFromFingerprint)
+TEST(ShardKernelOracle, NosNvpMatchesScalarBanking)
 {
-    ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), 3);
-    cfg.chains = 2;
+    for (const std::uint64_t seed : {4u, 5u, 6u})
+        runOracle(OperatingMode::NosNvp, seed);
+}
 
-    ScenarioConfig tweaked = cfg;
-    tweaked.simdKernel = !cfg.simdKernel;
-    tweaked.pinThreads = !cfg.pinThreads;
-    EXPECT_EQ(serializeScenarioBlob(tweaked), serializeScenarioBlob(cfg));
-    EXPECT_EQ(scenarioFingerprint(tweaked), scenarioFingerprint(cfg));
+TEST(ShardKernelOracle, NosVpMatchesScalarBanking)
+{
+    for (const std::uint64_t seed : {7u, 8u})
+        runOracle(OperatingMode::NosVp, seed);
 }
 
 } // namespace

@@ -455,12 +455,15 @@ TEST(ScenarioFingerprint, BlobRoundTripsAndHostKnobsAreExcluded)
     EXPECT_EQ(serializeScenarioBlob(back), blob);
     EXPECT_EQ(scenarioFingerprint(back), scenarioFingerprint(cfg));
 
-    // Host-local knobs never enter the fingerprint: a resume may
-    // change thread count or checkpoint cadence freely.
+    // Host-local knobs never enter the blob or the fingerprint: a
+    // resume may change thread count, pinning or checkpoint cadence
+    // freely.
     ScenarioConfig tweaked = cfg;
     tweaked.threads = 8;
+    tweaked.pinThreads = !cfg.pinThreads;
     tweaked.snapshot.everySlots = 5;
     tweaked.snapshot.dir = "/elsewhere";
+    EXPECT_EQ(serializeScenarioBlob(tweaked), blob);
     EXPECT_EQ(scenarioFingerprint(tweaked), scenarioFingerprint(cfg));
 
     // Result-relevant fields do.
@@ -746,6 +749,7 @@ TEST(SnapshotFile, RejectsV1SchemaWhole)
 {
     const ScratchDir dir("v1_reject");
     const ScratchDir old_dir("v1_only");
+    const ScratchDir mixed_dir("v1_newer");
 
     ScenarioConfig cfg = resumeScenario(1);
     const SystemReport reference = FogSystem(cfg).run();
@@ -753,21 +757,35 @@ TEST(SnapshotFile, RejectsV1SchemaWhole)
     cfg.snapshot.dir = dir.path();
     FogSystem(cfg).run();
 
-    const std::string current = dir.file(snapshot::snapshotFileName(100));
-    std::string bytes = slurp(current);
     const std::string v2 = snapshot::kSchema;
     const std::string v1 = "neofog-snapshot-v1";
     ASSERT_EQ(v2, "neofog-snapshot-v2");
-    const std::size_t at = bytes.find(v2);
-    ASSERT_NE(at, std::string::npos);
-    bytes.replace(at, v2.size(), v1);
+    // Copy checkpoint @p slot into @p to, relabelled as v1.
+    const auto writeV1 = [&](std::int64_t slot, const ScratchDir &to) {
+        std::string bytes = slurp(dir.file(snapshot::snapshotFileName(slot)));
+        const std::size_t at = bytes.find(v2);
+        ASSERT_NE(at, std::string::npos);
+        bytes.replace(at, v2.size(), v1);
+        spit(to.file(snapshot::snapshotFileName(slot)), bytes);
+    };
+    const std::string current = dir.file(snapshot::snapshotFileName(100));
     const std::string old = old_dir.file(snapshot::snapshotFileName(100));
-    spit(old, bytes);
+    writeV1(100, old_dir);
+    // A newer v1 file in front of an older v2 one must not let a
+    // resume quietly fall back to the v2 checkpoint.
+    spit(mixed_dir.file(snapshot::snapshotFileName(100)), slurp(current));
+    writeV1(200, mixed_dir);
 
+    // Every load is refused with both tags named: a v1-only directory
+    // is not reported as empty.
     for (const auto &load : std::vector<std::function<void()>>{
              [&] { snapshot::readSnapshot(old); },
              [&] { FogSystem::resume(old); },
-             [&] { FogSystem::resumePartition(old, cfg, 0, 1); }}) {
+             [&] { FogSystem::resumePartition(old, cfg, 0, 1); },
+             [&] { snapshot::latestSnapshot(old_dir.path()); },
+             [&] { FogSystem::resume(old_dir.path()); },
+             [&] { snapshot::latestSnapshot(mixed_dir.path()); },
+             [&] { FogSystem::resume(mixed_dir.path()); }}) {
         try {
             load();
             FAIL() << "v1 snapshot accepted";
@@ -777,9 +795,6 @@ TEST(SnapshotFile, RejectsV1SchemaWhole)
             EXPECT_NE(what.find(v2), std::string::npos) << what;
         }
     }
-    // A directory holding only v1 files has nothing to resume from.
-    EXPECT_EQ(snapshot::latestSnapshot(old_dir.path()), "");
-    EXPECT_THROW(FogSystem::resume(old_dir.path()), FatalError);
 
     EXPECT_EQ(FogSystem::resume(current)->run(), reference);
 }
