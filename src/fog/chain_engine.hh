@@ -82,7 +82,7 @@ struct ChainProbe
 };
 
 /**
- * Simulator for one independent chain of an energy-harvesting WSN.
+ * Simulates one independent chain of an energy-harvesting WSN.
  */
 class ChainEngine
 {

@@ -15,7 +15,7 @@ FogSystem::FogSystem(const ScenarioConfig &cfg)
 
 FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
                      std::size_t chain_hi)
-    : _cfg(cfg), _sim(cfg.seed), _chainLo(chain_lo), _chainHi(chain_hi)
+    : _cfg(cfg), _chainLo(chain_lo), _chainHi(chain_hi)
 {
     if (_cfg.nodesPerChain == 0 || _cfg.chains == 0)
         fatal("scenario needs at least one node and one chain");
@@ -77,7 +77,7 @@ FogSystem::FogSystem(const ScenarioConfig &cfg, std::size_t chain_lo,
     // The pool exists before the engines so construction itself can
     // run under the *chunked* partition: chain c's shard arrays are
     // allocated and first-written by the same pool thread that will
-    // sweep them every slot (slotTick below uses the same stable
+    // sweep them every slot (runOneSlot below uses the same stable
     // chunk→thread mapping), so with --pin-threads the OS places each
     // shard's pages on the worker's own core/NUMA node (first-touch).
     const std::size_t owned = _chainHi - _chainLo;
@@ -123,29 +123,17 @@ FogSystem::runWindow(std::int64_t from, std::int64_t to)
 {
     NEOFOG_ASSERT(from >= 0 && to <= _cfg.slotCount() && from <= to,
                   "runWindow range");
-    for (std::int64_t s = from; s < to; ++s)
+    for (std::int64_t s = from; s < to; ++s) {
         runOneSlot(s);
-}
 
-void
-FogSystem::slotTick(std::int64_t slot_index)
-{
-    runOneSlot(slot_index);
-
-    // Checkpoint at the upcoming boundary: the state right now is
-    // "after slots [0, next)", exactly what a resume starting at
-    // `next` needs.  Writing is read-only with respect to simulation
-    // state, so it can never perturb results.
-    const std::int64_t next = slot_index + 1;
-    if (_cfg.snapshot.everySlots > 0 && next < _cfg.slotCount() &&
-        next % _cfg.snapshot.everySlots == 0)
-        saveSnapshot(next);
-
-    // Self-rescheduling slot event: keeps the event queue O(1) in the
-    // horizon instead of pre-allocating every slot up front.
-    if (next < _cfg.slotCount()) {
-        _sim.schedule(next * _cfg.slotInterval,
-                      [this, next] { slotTick(next); });
+        // Checkpoint at the upcoming boundary: the state right now is
+        // "after slots [0, next)", exactly what a resume starting at
+        // `next` needs.  Writing is read-only with respect to
+        // simulation state, so it can never perturb results.
+        const std::int64_t next = s + 1;
+        if (_cfg.snapshot.everySlots > 0 && next < _cfg.slotCount() &&
+            next % _cfg.snapshot.everySlots == 0)
+            saveSnapshot(next);
     }
 }
 
@@ -160,15 +148,7 @@ FogSystem::run()
     _report = SystemReport{};
     _report.idealPackages = _cfg.idealPackages();
 
-    // The only event alive at a slot boundary is the self-rescheduling
-    // slot tick, so a resumed run re-materializes the queue by
-    // scheduling the first outstanding slot (0 for a fresh system).
-    if (_resumeSlot < _cfg.slotCount()) {
-        const std::int64_t first = _resumeSlot;
-        _sim.schedule(first * _cfg.slotInterval,
-                      [this, first] { slotTick(first); });
-    }
-    _sim.runAll();
+    runWindow(_resumeSlot, _cfg.slotCount());
 
     // Merge the shards serially in chain order: uint64 sums commute,
     // but double sums do not, and a fixed order keeps the energy
@@ -273,6 +253,20 @@ FogSystem::saveSnapshot(std::int64_t slot)
     snapshot::writeSnapshot(path, snap);
 }
 
+namespace {
+
+/** The scenario @p snap archives in its config section. */
+ScenarioConfig
+archivedScenario(const std::string &file, const snapshot::Snapshot &snap)
+{
+    const snapshot::Section *config = snap.find("config");
+    if (config == nullptr)
+        fatal("snapshot ", file, " has no config section");
+    return deserializeScenarioBlob(config->data);
+}
+
+} // namespace
+
 std::unique_ptr<FogSystem>
 FogSystem::resume(const std::string &path, unsigned threads,
                   ScenarioConfig::SnapshotConfig snap_cfg,
@@ -280,50 +274,11 @@ FogSystem::resume(const std::string &path, unsigned threads,
 {
     const std::string file = snapshot::resolveSnapshotPath(path);
     const snapshot::Snapshot snap = snapshot::readSnapshot(file);
-
-    const snapshot::Section *config = snap.find("config");
-    if (config == nullptr)
-        fatal("snapshot ", file, " has no config section");
-    ScenarioConfig cfg = deserializeScenarioBlob(config->data);
+    ScenarioConfig cfg = archivedScenario(file, snap);
     cfg.threads = threads;
     cfg.snapshot = std::move(snap_cfg);
     cfg.pinThreads = pin_threads;
-
-    if (snap.chains != cfg.chains)
-        fatal("snapshot ", file, " header claims ", snap.chains,
-              " chains but its config section has ", cfg.chains);
-    if (snap.slot < 0 || snap.slot > cfg.slotCount())
-        fatal("snapshot ", file, " slot ", snap.slot,
-              " lies outside the scenario horizon of ",
-              cfg.slotCount(), " slots");
-    if (snap.seed != cfg.seed)
-        fatal("snapshot ", file, " header seed ", snap.seed,
-              " does not match its config section seed ", cfg.seed);
-
-    // Reconstruct-then-overwrite: the constructor deterministically
-    // rebuilds traces, engines, and nodes exactly as the original run
-    // did (same seed, same fork order), and the archived state then
-    // replaces every mutable field.  Restoring is chain-parallel for
-    // the same reason serializing is; a corrupt section throws out of
-    // parallelFor and the half-built system is discarded whole.
-    auto system = std::make_unique<FogSystem>(cfg);
-    parallelForChunked(system->_pool.get(), system->_engines.size(),
-                       [&](std::size_t c) {
-        const std::string name = "chain" + std::to_string(c);
-        const snapshot::Section *sec = snap.find(name);
-        if (sec == nullptr)
-            fatal("snapshot ", file, " is missing section '", name,
-                  "'");
-        snapshot::InArchive ar(sec->data);
-        ar.pushScope(name);
-        system->_engines[c]->serialize(ar);
-        ar.popScope();
-        if (!ar.atEnd())
-            fatal("snapshot ", file, " section '", name,
-                  "' has trailing records (format/version skew?)");
-    });
-    system->_resumeSlot = snap.slot;
-    return system;
+    return restore(file, snap, cfg, 0, cfg.chains);
 }
 
 std::unique_ptr<FogSystem>
@@ -333,11 +288,7 @@ FogSystem::resumePartition(const std::string &path,
 {
     const std::string file = snapshot::resolveSnapshotPath(path);
     const snapshot::Snapshot snap = snapshot::readSnapshot(file);
-
-    const snapshot::Section *config = snap.find("config");
-    if (config == nullptr)
-        fatal("snapshot ", file, " has no config section");
-    ScenarioConfig cfg = deserializeScenarioBlob(config->data);
+    ScenarioConfig cfg = archivedScenario(file, snap);
 
     // The worker already validated its scenario against the
     // coordinator's fingerprint at HELLO time; cross-check the
@@ -352,7 +303,14 @@ FogSystem::resumePartition(const std::string &path,
     cfg.threads = host.threads;
     cfg.snapshot = host.snapshot;
     cfg.pinThreads = host.pinThreads;
+    return restore(file, snap, cfg, chain_lo, chain_hi);
+}
 
+std::unique_ptr<FogSystem>
+FogSystem::restore(const std::string &file, const snapshot::Snapshot &snap,
+                   const ScenarioConfig &cfg, std::size_t chain_lo,
+                   std::size_t chain_hi)
+{
     if (snap.chains != cfg.chains)
         fatal("snapshot ", file, " header claims ", snap.chains,
               " chains but its config section has ", cfg.chains);
@@ -364,10 +322,15 @@ FogSystem::resumePartition(const std::string &path,
         fatal("snapshot ", file, " header seed ", snap.seed,
               " does not match its config section seed ", cfg.seed);
 
-    // Reconstruct-then-overwrite over the partition slice, exactly as
-    // the full resume does over all chains.
-    auto system =
-        std::make_unique<FogSystem>(cfg, chain_lo, chain_hi);
+    // Reconstruct-then-overwrite: the constructor deterministically
+    // rebuilds traces, engines, and nodes exactly as the original run
+    // did (same seed, same fork order), and the archived state then
+    // replaces every mutable field.  Sections are named by global
+    // chain index, so a partition reads exactly its own slice.
+    // Restoring is chain-parallel for the same reason serializing
+    // is; a corrupt section throws out of parallelFor and the
+    // half-built system is discarded whole.
+    auto system = std::make_unique<FogSystem>(cfg, chain_lo, chain_hi);
     parallelForChunked(system->_pool.get(), system->_engines.size(),
                        [&](std::size_t i) {
         const std::string name =
@@ -375,8 +338,8 @@ FogSystem::resumePartition(const std::string &path,
             std::to_string(system->_engines[i]->chainIndex());
         const snapshot::Section *sec = snap.find(name);
         if (sec == nullptr)
-            fatal("partition snapshot ", file, " is missing section '",
-                  name, "' — written by a different chain range?");
+            fatal("snapshot ", file, " is missing section '", name,
+                  "' — written by a different chain range?");
         snapshot::InArchive ar(sec->data);
         ar.pushScope(name);
         system->_engines[i]->serialize(ar);

@@ -12,9 +12,10 @@
  *
  * The per-chain simulation lives in ChainEngine; FogSystem is the
  * orchestrator: it forks one RNG stream per chain (in chain order),
- * schedules the slot grid, dispatches the chains of each slot across
- * a ThreadPool, and merges the per-chain report shards in chain order
- * so results are bit-identical for any thread count.
+ * steps the slot grid in one loop (runWindow), dispatches the chains
+ * of each slot across a ThreadPool, and merges the per-chain report
+ * shards in chain order so results are bit-identical for any thread
+ * count.
  */
 
 #ifndef NEOFOG_FOG_FOG_SYSTEM_HH
@@ -28,10 +29,14 @@
 #include "fog/scenario.hh"
 #include "fog/system_report.hh"
 #include "sim/report_io.hh"
-#include "sim/simulator.hh"
+#include "sim/stats.hh"
 #include "sim/thread_pool.hh"
 
 namespace neofog {
+
+namespace snapshot {
+struct Snapshot;
+} // namespace snapshot
 
 /**
  * One simulated deployment.
@@ -59,11 +64,12 @@ class FogSystem
      * its newest fully valid snapshot.  The scenario is rebuilt from
      * the snapshot's own config section; @p threads, @p snap, and
      * @p pin_threads replace the host-local knobs (none influences
-     * results).  run() on the returned system
-     * continues at the snapshot's slot and produces a report
-     * bit-identical to the uninterrupted run.  Fatal on any
-     * corruption or config mismatch — a resume applies completely or
-     * not at all.
+     * results).  run() on the returned system continues at the
+     * snapshot's slot and produces a report bit-identical to the
+     * uninterrupted run.  The snapshot must hold every chain's
+     * section, so a distributed worker's partition snapshot is
+     * refused.  Fatal on any corruption or config mismatch — a resume
+     * applies completely or not at all.
      */
     static std::unique_ptr<FogSystem>
     resume(const std::string &path, unsigned threads = 1,
@@ -78,8 +84,8 @@ class FogSystem
      * snapshot's config section; @p host supplies the host-local
      * knobs (threads, snapshot, pinThreads — none influences
      * results) and must otherwise match the archived scenario
-     * fingerprint.  Fatal on any corruption,
-     * range, or config mismatch.
+     * fingerprint.  Restores through the same path as resume().
+     * Fatal on any corruption, range, or config mismatch.
      */
     static std::unique_ptr<FogSystem>
     resumePartition(const std::string &path, const ScenarioConfig &host,
@@ -94,19 +100,29 @@ class FogSystem
      */
     void saveSnapshot(std::int64_t slot);
 
-    /** First slot run() will execute (0 unless resumed). */
+    /**
+     * The snapshot's slot after resume() or resumePartition(), else
+     * 0: the first slot run() executes, and the `from` a worker's
+     * first runWindow() starts at.
+     */
     std::int64_t resumeSlot() const { return _resumeSlot; }
 
-    /** Run the full horizon and return aggregated results. */
+    /**
+     * Run the full horizon and return aggregated results:
+     * runWindow(resumeSlot(), slotCount()), then the chain-order
+     * merge of the finalized shards.
+     */
     SystemReport run();
 
     /**
-     * Run slots [from, to) over this system's chain range, outside
-     * the event queue.  ChainEngine never touches the Simulator, so a
-     * plain slot loop is bit-identical to the event-driven run() —
-     * this is the distributed worker's stepping primitive (the
-     * coordinator drives barriers and checkpoints explicitly).
-     * Leaves the report un-merged; see shardBlob().
+     * Run slots [from, to) over this system's chain range — the one
+     * slot driver, behind run() and the distributed worker's STEP.
+     * After each slot s it writes a checkpoint at s + 1 when
+     * snapshot.everySlots divides it and s + 1 lies before the
+     * horizon, so the checkpoints do not depend on how the horizon is
+     * split into windows (workers set everySlots = 0; their
+     * coordinator drives checkpoints explicitly).  Leaves the report
+     * un-merged; see shardBlob().
      */
     void runWindow(std::int64_t from, std::int64_t to);
 
@@ -173,18 +189,24 @@ class FogSystem
     nodeEnergySeries(std::size_t chain, std::size_t physical_idx,
                      std::size_t max_points = 400) const;
 
-    /** The simulator context (time, event queue, stats). */
-    Simulator &sim() { return _sim; }
-
   private:
-    /** Run one slot across every chain, then schedule the next. */
-    void slotTick(std::int64_t slot_index);
+    /**
+     * The one restore path behind resume() and resumePartition():
+     * check @p snap's header against @p cfg (chain count, slot range,
+     * seed), reconstruct chains [chain_lo, chain_hi) from @p cfg,
+     * overwrite each one from the section named by its global chain
+     * index, and continue at the snapshot's slot.  @p file names the
+     * snapshot in diagnostics.
+     */
+    static std::unique_ptr<FogSystem>
+    restore(const std::string &file, const snapshot::Snapshot &snap,
+            const ScenarioConfig &cfg, std::size_t chain_lo,
+            std::size_t chain_hi);
 
-    /** The chain-parallel body of one slot (no scheduling). */
+    /** The chain-parallel body of one slot. */
     void runOneSlot(std::int64_t slot_index);
 
     ScenarioConfig _cfg;
-    Simulator _sim;
 
     /** Global chain range simulated here (full system: [0, chains)). */
     std::size_t _chainLo = 0;

@@ -20,7 +20,10 @@ validType(std::uint8_t v)
 std::string
 quoted(std::string_view s)
 {
-    return "'" + std::string(s) + "'";
+    std::string out = "'";
+    out.append(s);
+    out += '\'';
+    return out;
 }
 
 } // namespace
@@ -219,11 +222,17 @@ formatPayload(FieldType type, std::string_view payload)
                       static_cast<unsigned long long>(bits));
         return buf;
       }
-      case FieldType::Str:
-        return "\"" + std::string(payload.substr(4)) + "\"";
+      case FieldType::Str: {
+        std::string out = "\"";
+        out.append(payload.substr(4));
+        out += '"';
+        return out;
+      }
       default: {
-        const std::uint64_t count = readLe64(p);
-        return "[" + std::to_string(count) + " elements]";
+        std::string out = "[";
+        out += std::to_string(readLe64(p));
+        out += " elements]";
+        return out;
       }
     }
 }

@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fog/chain_engine.hh"
@@ -598,6 +601,282 @@ TEST(Resume, RejectsCorruptOrMissingSnapshots)
     EXPECT_THROW(FogSystem::resume(configless), FatalError);
 }
 
+/**
+ * Checkpoints that the one restore path must refuse, built from a
+ * real run of resumeScenario(1) stopped at slot 10.
+ */
+class RefusalInputs
+{
+  public:
+    /** @p tag keeps the scratch directories of parallel cases apart. */
+    explicit RefusalInputs(const std::string &tag)
+        : cfg(resumeScenario(1)), _fullDir("refusal_full_" + tag),
+          _partDir("refusal_part_" + tag),
+          _mutantDir("refusal_mutant_" + tag),
+          full(checkpoint(_fullDir, cfg.chains)),
+          part(checkpoint(_partDir, 1))
+    {}
+
+    /** @p source (full or part) rewritten by @p edit, as a new file. */
+    std::string
+    mutant(const std::string &source,
+           const std::function<void(Snapshot &)> &edit) const
+    {
+        Snapshot snap = snapshot::readSnapshot(source);
+        edit(snap);
+        const std::string path = _mutantDir.file("mutant.nfsnap");
+        snapshot::writeSnapshot(path, snap);
+        return path;
+    }
+
+    /** The worker's own scenario, with @p edit applied. */
+    ScenarioConfig
+    host(const std::function<void(ScenarioConfig &)> &edit) const
+    {
+        ScenarioConfig other = cfg;
+        edit(other);
+        return other;
+    }
+
+  private:
+    std::string
+    checkpoint(const ScratchDir &into, std::size_t hi) const
+    {
+        ScenarioConfig writer = cfg;
+        writer.snapshot.dir = into.path();
+        FogSystem system(writer, 0, hi);
+        system.runWindow(0, 10);
+        system.saveSnapshot(10);
+        return into.file(snapshot::snapshotFileName(10));
+    }
+
+  public:
+    const ScenarioConfig cfg;
+
+  private:
+    const ScratchDir _fullDir;
+    const ScratchDir _partDir;
+    const ScratchDir _mutantDir;
+
+  public:
+    /** Every chain section, at slot 10. */
+    const std::string full;
+    /** A worker's partition checkpoint: chain 0 only, at slot 10. */
+    const std::string part;
+};
+
+struct RestoreRefusal
+{
+    const char *name;
+    std::function<void(const RefusalInputs &)> load;
+    /** A fragment the FatalError message must contain. */
+    const char *needle;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const RestoreRefusal &r)
+{
+    return os << r.name;
+}
+
+void
+dropSection(Snapshot &snap, const std::string &name)
+{
+    auto &sections = snap.sections;
+    sections.erase(std::remove_if(sections.begin(), sections.end(),
+                                  [&](const snapshot::Section &s) {
+                                      return s.name == name;
+                                  }),
+                   sections.end());
+}
+
+/** Appends a second copy of chain 0's records to its own section. */
+void
+doubleChain0(Snapshot &snap)
+{
+    for (auto &s : snap.sections)
+        if (s.name == "chain0") {
+            const std::string records = s.data;
+            s.data += records;
+        }
+}
+
+class RestoreRefusalTest : public ::testing::TestWithParam<RestoreRefusal>
+{
+};
+
+// resume() and resumePartition() share one restore path; each of its
+// refusals is a FatalError naming the fault, and each is reached from
+// both entry points.
+TEST_P(RestoreRefusalTest, RefusesWithReason)
+{
+    const RestoreRefusal &refusal = GetParam();
+    const RefusalInputs in(refusal.name);
+    try {
+        refusal.load(in);
+        FAIL() << "expected rejection containing '" << refusal.needle
+               << "'";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(refusal.needle),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Refusals, RestoreRefusalTest,
+    ::testing::Values(
+        // The chain sections must cover the range being restored.
+        RestoreRefusal{"ResumeOfPartitionSnapshot",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(in.part);
+                       },
+                       "missing section 'chain1'"},
+        RestoreRefusal{"PartitionBeyondItsSections",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(in.part, in.cfg, 1,
+                                                      3);
+                       },
+                       "missing section 'chain1'"},
+        RestoreRefusal{"ResumeMissingOneSection",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(in.mutant(
+                               in.full, [](Snapshot &s) {
+                                   dropSection(s, "chain2");
+                               }));
+                       },
+                       "missing section 'chain2'"},
+        RestoreRefusal{"PartitionMissingOneSection",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.mutant(in.full,
+                                         [](Snapshot &s) {
+                                             dropSection(s, "chain2");
+                                         }),
+                               in.cfg, 2, 3);
+                       },
+                       "missing section 'chain2'"},
+        // A partition restore checks the archived scenario against
+        // the worker's own, on every result-relevant field.
+        RestoreRefusal{"PartitionHostSeedDiffers",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.full,
+                               in.host([](ScenarioConfig &c) {
+                                   c.seed += 1;
+                               }),
+                               0, 3);
+                       },
+                       "archives a different scenario"},
+        RestoreRefusal{"PartitionHostHorizonDiffers",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.full,
+                               in.host([](ScenarioConfig &c) {
+                                   c.horizon = 2 * kHour;
+                               }),
+                               0, 3);
+                       },
+                       "archives a different scenario"},
+        RestoreRefusal{"PartitionHostChainsDiffer",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.full,
+                               in.host([](ScenarioConfig &c) {
+                                   c.chains = 4;
+                               }),
+                               0, 3);
+                       },
+                       "archives a different scenario"},
+        // The header must agree with the config section.
+        RestoreRefusal{"ResumeHeaderSeed",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(in.mutant(
+                               in.full,
+                               [](Snapshot &s) { s.seed += 1; }));
+                       },
+                       "header seed"},
+        RestoreRefusal{"PartitionHeaderSeed",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.mutant(in.part,
+                                         [](Snapshot &s) { s.seed += 1; }),
+                               in.cfg, 0, 1);
+                       },
+                       "header seed"},
+        RestoreRefusal{"ResumeHeaderChains",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(in.mutant(
+                               in.full,
+                               [](Snapshot &s) { s.chains = 4; }));
+                       },
+                       "header claims 4 chains"},
+        RestoreRefusal{"PartitionHeaderChains",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.mutant(in.part,
+                                         [](Snapshot &s) { s.chains = 4; }),
+                               in.cfg, 0, 1);
+                       },
+                       "header claims 4 chains"},
+        RestoreRefusal{"ResumeSlotPastHorizon",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(in.mutant(
+                               in.full,
+                               [](Snapshot &s) { s.slot = 301; }));
+                       },
+                       "outside the scenario horizon"},
+        RestoreRefusal{"ResumeNegativeSlot",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(in.mutant(
+                               in.full, [](Snapshot &s) { s.slot = -1; }));
+                       },
+                       "outside the scenario horizon"},
+        RestoreRefusal{"PartitionSlotPastHorizon",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.mutant(in.part,
+                                         [](Snapshot &s) { s.slot = 301; }),
+                               in.cfg, 0, 1);
+                       },
+                       "outside the scenario horizon"},
+        // A section holds exactly one chain's records.
+        RestoreRefusal{"ResumeTrailingRecords",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(
+                               in.mutant(in.full, doubleChain0));
+                       },
+                       "has trailing records"},
+        RestoreRefusal{"PartitionTrailingRecords",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.mutant(in.part, doubleChain0), in.cfg,
+                               0, 1);
+                       },
+                       "has trailing records"},
+        // Without a config section there is no scenario to rebuild.
+        RestoreRefusal{"ResumeWithoutConfig",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resume(in.mutant(
+                               in.full, [](Snapshot &s) {
+                                   dropSection(s, "config");
+                               }));
+                       },
+                       "has no config section"},
+        RestoreRefusal{"PartitionWithoutConfig",
+                       [](const RefusalInputs &in) {
+                           FogSystem::resumePartition(
+                               in.mutant(in.part,
+                                         [](Snapshot &s) {
+                                             dropSection(s, "config");
+                                         }),
+                               in.cfg, 0, 1);
+                       },
+                       "has no config section"}),
+    [](const ::testing::TestParamInfo<RestoreRefusal> &param) {
+        return std::string(param.param.name);
+    });
+
 // The tentpole contract, enforced here rather than by convention:
 // for random split slots s and any thread count, run(0..H) and
 // run(0..s); resume; run(s..H) produce operator==-equal reports.
@@ -645,6 +924,128 @@ TEST(Resume, BitIdentityAcrossSplitSlotsAndThreadCounts)
         }
     }
 }
+
+// runWindow is the one slot driver: stepping a system through uneven
+// windows writes exactly the checkpoints run() writes, byte for byte,
+// and each of them resumes onto run()'s report.
+TEST(Resume, WindowedStepsCheckpointLikeRun)
+{
+    const ScratchDir windowed_dir("windowed_steps");
+    const ScratchDir run_dir("windowed_run");
+    constexpr std::int64_t kEvery = 45;
+
+    ScenarioConfig cfg = resumeScenario(1);
+    const SystemReport reference = FogSystem(cfg).run();
+    const std::int64_t slots = cfg.slotCount();
+    ASSERT_EQ(slots, 300);
+
+    cfg.snapshot.everySlots = kEvery;
+    cfg.snapshot.dir = run_dir.path();
+    FogSystem twin(cfg);
+    EXPECT_EQ(twin.run(), reference);
+
+    cfg.snapshot.dir = windowed_dir.path();
+    FogSystem windowed(cfg);
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::int64_t, std::int64_t>>{
+             {0, 7}, {7, 50}, {50, slots}})
+        windowed.runWindow(from, to);
+    windowed.finalizeShards();
+    for (std::size_t c = 0; c < cfg.chains; ++c)
+        EXPECT_EQ(windowed.chains()[c]->shard(),
+                  twin.chains()[c]->shard())
+            << "chain " << c;
+
+    std::vector<std::string> expected;
+    for (std::int64_t s = kEvery; s < slots; s += kEvery)
+        expected.push_back(snapshot::snapshotFileName(s));
+    std::vector<std::string> written;
+    for (const auto &entry : fs::directory_iterator(windowed_dir.path()))
+        written.push_back(entry.path().filename().string());
+    std::sort(expected.begin(), expected.end());
+    std::sort(written.begin(), written.end());
+    ASSERT_EQ(written, expected);
+
+    for (const std::string &name : expected) {
+        const std::string path = windowed_dir.file(name);
+        EXPECT_TRUE(slurp(path) == slurp(run_dir.file(name)))
+            << name << " differs from run()'s checkpoint";
+        for (const unsigned threads : {1u, 4u})
+            EXPECT_EQ(FogSystem::resume(path, threads)->run(), reference)
+                << name << ", threads " << threads;
+    }
+}
+
+// Model-based check of the one slot driver: random windows, broken
+// by random crashes that resume from the newest checkpoint on disk
+// at a random thread count, must write exactly run()'s checkpoints,
+// byte for byte, and end on run()'s shards.
+class SlotDriverModelTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SlotDriverModelTest, RandomWindowsAndCrashesMatchRun)
+{
+    Rng rng(static_cast<std::uint64_t>(GetParam()));
+    const std::string seed = std::to_string(GetParam());
+    const ScratchDir run_dir("driver_model_run_" + seed);
+    const ScratchDir driven_dir("driver_model_driven_" + seed);
+
+    ScenarioConfig cfg = resumeScenario(1);
+    const std::int64_t slots = cfg.slotCount();
+    // Up to `slots` itself, which never checkpoints: none is written
+    // at the horizon.
+    const std::int64_t every = rng.uniformInt(7, slots);
+    cfg.snapshot.everySlots = every;
+    cfg.snapshot.dir = run_dir.path();
+    FogSystem twin(cfg);
+    twin.run();
+
+    cfg.snapshot.dir = driven_dir.path();
+    auto driven = std::make_unique<FogSystem>(cfg);
+    std::int64_t at = 0;
+    int crashes = 0;
+    while (at < slots) {
+        const std::int64_t to =
+            std::min(slots, at + rng.uniformInt(0, 60));
+        driven->runWindow(at, to);
+        at = to;
+        if (at == slots || crashes == 4 || rng.uniform() >= 0.25)
+            continue;
+        ++crashes;
+        driven.reset();
+        const unsigned threads = rng.uniform() < 0.5 ? 1u : 4u;
+        if (fs::is_empty(driven_dir.path())) {
+            cfg.threads = threads;
+            driven = std::make_unique<FogSystem>(cfg);
+        } else {
+            driven =
+                FogSystem::resume(driven_dir.path(), threads, cfg.snapshot);
+        }
+        at = driven->resumeSlot();
+    }
+    driven->finalizeShards();
+    for (std::size_t c = 0; c < cfg.chains; ++c)
+        EXPECT_EQ(driven->chains()[c]->shard(), twin.chains()[c]->shard())
+            << "chain " << c << ", every " << every;
+
+    std::vector<std::string> expected;
+    for (std::int64_t s = every; s < slots; s += every)
+        expected.push_back(snapshot::snapshotFileName(s));
+    std::vector<std::string> written;
+    for (const auto &entry : fs::directory_iterator(driven_dir.path()))
+        written.push_back(entry.path().filename().string());
+    std::sort(expected.begin(), expected.end());
+    std::sort(written.begin(), written.end());
+    ASSERT_EQ(written, expected) << "every " << every;
+    for (const std::string &name : expected)
+        EXPECT_TRUE(slurp(driven_dir.file(name)) ==
+                    slurp(run_dir.file(name)))
+            << name << " differs from run()'s checkpoint";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SlotDriverModelTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // Resuming may itself snapshot; a second-generation resume must
 // still land on the reference bits (crash during the resumed run).

@@ -85,8 +85,8 @@ layerTable()
 }
 
 /**
- * Files allowed to seed an Rng from scratch: the generator itself,
- * the Simulator root stream, and FogSystem's per-chain fork loop.
+ * Files allowed to seed an Rng from scratch: the generator itself
+ * and FogSystem's per-chain fork loop.
  * Everything else must receive a stream by value or fork one.
  */
 const std::set<std::string> &
@@ -95,7 +95,6 @@ sanctionedSeedFiles()
     static const std::set<std::string> files = {
         "src/sim/rng.hh",
         "src/sim/rng.cc",
-        "src/sim/simulator.hh",
         "src/fog/fog_system.cc",
     };
     return files;
