@@ -250,7 +250,7 @@ runCapacitorMicro(bool smoke)
         kernel_shard.nodes.front()->config().cap,
         kernel_shard.nodes.front()->config().rtc,
         kernel_shard.nodes.front()->frontend().config(),
-        /*fios=*/true);
+        /*fios=*/true, kernel_shard.nodes.front()->config().rawPackageBytes);
     ShardSlotKernel kernel(params);
     std::vector<ShardSlotKernel::Lane> lanes(rows);
     for (std::size_t i = 0; i < rows; ++i) {
@@ -275,8 +275,6 @@ runCapacitorMicro(bool smoke)
         const double kernel_secs =
             timeSlots(first, slots, slot_len, [&](Tick t) {
                 kernel.run(kernel_shard.shard, lanes, t, slot_len);
-                for (const auto &n : kernel_shard.nodes)
-                    n->rolloverSlotState();
             });
         scalar_best = r == 0 ? scalar_secs
                              : std::min(scalar_best, scalar_secs);

@@ -33,6 +33,19 @@ LbOutcome::apply(const std::vector<int> &pending) const
 }
 
 void
+LoadBalancer::seedScratch(const std::vector<LbNodeState> &nodes)
+{
+    const std::size_t n = nodes.size();
+    _load.resize(n);
+    _spare.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        _load[i] = nodes[i].pendingTasks;
+        _spare[i] = nodes[i].alive
+            ? std::max(0.0, nodes[i].capacityTasks - _load[i]) : 0.0;
+    }
+}
+
+void
 NoBalancer::balanceInto(const std::vector<LbNodeState> &nodes, Rng &rng,
                         LbOutcome &out)
 {
@@ -53,9 +66,10 @@ TreeBalancer::TreeBalancer(const Config &cfg)
 
 void
 TreeBalancer::balanceRegion(const std::vector<LbNodeState> &nodes,
-                            std::vector<double> &load, std::size_t lo,
-                            std::size_t hi, LbOutcome &out) const
+                            std::size_t lo, std::size_t hi,
+                            LbOutcome &out)
 {
+    std::vector<double> &load = _load;
     if (hi - lo < std::max<std::size_t>(_cfg.minRegion, 2))
         return;
 
@@ -106,8 +120,8 @@ TreeBalancer::balanceRegion(const std::vector<LbNodeState> &nodes,
         }
     }
 
-    balanceRegion(nodes, load, lo, mid, out);
-    balanceRegion(nodes, load, mid, hi, out);
+    balanceRegion(nodes, lo, mid, out);
+    balanceRegion(nodes, mid, hi, out);
 }
 
 void
@@ -116,10 +130,8 @@ TreeBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
 {
     (void)rng;
     out.reset();
-    std::vector<double> load(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-        load[i] = nodes[i].pendingTasks;
-    balanceRegion(nodes, load, 0, nodes.size(), out);
+    seedScratch(nodes);
+    balanceRegion(nodes, 0, nodes.size(), out);
 }
 
 DistributedBalancer::DistributedBalancer()
@@ -142,13 +154,9 @@ DistributedBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
 {
     out.reset();
     const std::size_t n = nodes.size();
-    std::vector<double> load(n);
-    std::vector<double> spare(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        load[i] = nodes[i].pendingTasks;
-        spare[i] = nodes[i].alive
-            ? std::max(0.0, nodes[i].capacityTasks - load[i]) : 0.0;
-    }
+    seedScratch(nodes);
+    std::vector<double> &load = _load;
+    std::vector<double> &spare = _spare;
 
     auto quantize = [&](double cost) {
         return std::max<std::int64_t>(
@@ -266,9 +274,8 @@ ClusterBalancer::balanceInto(const std::vector<LbNodeState> &nodes,
     (void)rng;
     out.reset();
     const std::size_t n = nodes.size();
-    std::vector<double> load(n);
-    for (std::size_t i = 0; i < n; ++i)
-        load[i] = nodes[i].pendingTasks;
+    seedScratch(nodes);
+    std::vector<double> &load = _load;
 
     for (std::size_t lo = 0; lo < n; lo += _cfg.clusterSize) {
         const std::size_t hi = std::min(n, lo + _cfg.clusterSize);

@@ -27,7 +27,17 @@
 
 namespace neofog {
 
-/** Load-balance-relevant state of one chain node at a round. */
+/**
+ * Load-balance-relevant state of one chain node at a round.
+ *
+ * Alive-only contract: a policy reads `capacityTasks` and `taskCost`
+ * only of nodes with `alive` set.  A sleeping node shares nothing this
+ * round, so its state is `alive = false` plus `pendingTasks` (the
+ * queue it still holds) and its other fields carry no meaning — the
+ * ChainEngine leaves them unpriced, and a policy's outcome, messages
+ * and Rng draws must not depend on them (tests/test_balancer.cpp,
+ * LbNodeStateContract).
+ */
 struct LbNodeState
 {
     /** Whether the node can participate at all this round. */
@@ -37,13 +47,13 @@ struct LbNodeState
     /**
      * Tasks this node could execute this round with its available
      * energy (fractional: 2.5 = two tasks plus half the energy of a
-     * third).
+     * third).  Read only when `alive`.
      */
     double capacityTasks = 0.0;
     /**
      * Relative time/energy to run one task here (1.0 = nominal;
      * lower = more efficient, per the Spendthrift configuration the
-     * node shared).
+     * node shared).  Read only when `alive`.
      */
     double taskCost = 1.0;
 };
@@ -102,6 +112,20 @@ class LoadBalancer
     }
 
     virtual std::string name() const = 0;
+
+  protected:
+    /**
+     * Seed the per-round scratch views: `_load[i]` = pending tasks,
+     * `_spare[i]` = unclaimed capacity of an alive node (0 for a
+     * sleeping one).  The vectors keep their capacity across rounds,
+     * so a per-slot caller allocates only while the chain grows; every
+     * entry is rewritten, so no state carries from one round to the
+     * next.
+     */
+    void seedScratch(const std::vector<LbNodeState> &nodes);
+
+    std::vector<double> _load;  ///< tasks held, updated as moves land
+    std::vector<double> _spare; ///< capacity still free for receipts
 };
 
 /** No balancing: every node keeps its own tasks. */
@@ -140,8 +164,7 @@ class TreeBalancer : public LoadBalancer
 
   private:
     void balanceRegion(const std::vector<LbNodeState> &nodes,
-                       std::vector<double> &load, std::size_t lo,
-                       std::size_t hi, LbOutcome &out) const;
+                       std::size_t lo, std::size_t hi, LbOutcome &out);
 
     Config _cfg;
 };

@@ -26,7 +26,7 @@ kernelParams(const ScenarioConfig &cfg)
         fios ? FrontEnd::makeFios() : FrontEnd::makeNos();
     return ShardSlotKernelParams::fromConfigs(
         cfg.nodeTemplate.cap, cfg.nodeTemplate.rtc, frontend.config(),
-        fios);
+        fios, cfg.nodeTemplate.rawPackageBytes);
 }
 
 } // namespace
@@ -65,7 +65,26 @@ ChainEngine::ChainEngine(const ScenarioConfig &cfg,
         _groups.emplace_back(l, std::move(members));
     }
     _aliveLastSlot.assign(_cfg.nodesPerChain, true);
-    _scheduled.reserve(_groups.size());
+
+    // The row schedule: entry q holds member q of every group, in
+    // logical order.  Every group has mux members and rotates in
+    // lockstep (updateMembership), so the clone serving slot s is
+    // member (s + rotation) mod mux of each group — one entry of this
+    // table, whatever the rotation.  The table is construction-derived;
+    // rotation, the only mutable input, is read at pick time, so a
+    // restore that changes it needs no rebuild.
+    _schedules.resize(mux);
+    for (std::size_t q = 0; q < mux; ++q) {
+        SlotSchedule &sched = _schedules[q];
+        for (const CloneGroup &g : _groups) {
+            Node *n = _nodes[g.members()[q]].get();
+            sched.nodes.push_back(n);
+            sched.rows.push_back(n->shardRow());
+            if (_sharedTrace)
+                sched.sharedGain.push_back(
+                    static_cast<const ScaledTrace &>(n->trace()).scale());
+        }
+    }
     _lbStates.reserve(_groups.size());
     _lbOutcome.moves.reserve(_groups.size());
     _windowMemo.reserve(4);
@@ -152,6 +171,18 @@ ChainEngine::updateMembership(std::int64_t slot_index)
     }
 }
 
+const ChainEngine::SlotSchedule &
+ChainEngine::scheduleFor(std::int64_t slot_index) const
+{
+    // CloneGroup::memberForSlot's arithmetic, once for the whole chain
+    // (the groups rotate in lockstep; see the constructor).
+    const auto mux = static_cast<std::int64_t>(_schedules.size());
+    std::int64_t q = (slot_index + _groups.front().rotation()) % mux;
+    if (q < 0)
+        q += mux;
+    return _schedules[static_cast<std::size_t>(q)];
+}
+
 void
 ChainEngine::runSlot(std::int64_t slot_index)
 {
@@ -160,14 +191,10 @@ ChainEngine::runSlot(std::int64_t slot_index)
     updateMembership(slot_index);
 
     // One physical clone of every logical node is scheduled this slot.
-    // _scheduled is engine-owned scratch: reusing its capacity keeps
-    // the per-slot loop allocation-free.
-    std::vector<Node *> &scheduled = _scheduled;
-    scheduled.clear();
-    for (const CloneGroup &g : _groups)
-        scheduled.push_back(_nodes[g.memberForSlot(slot_index)].get());
+    const SlotSchedule &sched = scheduleFor(slot_index);
+    const std::vector<Node *> &scheduled = sched.nodes;
 
-    bankSlot(scheduled, t);
+    bankSlot(sched, t);
     if (!_probe.watched.empty())
         recordWatched(scheduled, t);
     // A volatile node loses buffered-but-unprocessed data at
@@ -194,11 +221,12 @@ ChainEngine::runSlot(std::int64_t slot_index)
         }
     }
 
-    heal(scheduled);
-    balance(scheduled);
+    heal(sched);
+    balance(sched);
 
+    const std::uint8_t *const awake = _soa.awake.data();
     for (std::size_t l = 0; l < scheduled.size(); ++l) {
-        if (!scheduled[l]->awake())
+        if (!awake[sched.rows[l]])
             continue;
         maybeServeRealTimeRequest(*scheduled[l], scheduled, l);
         executeAndTransmit(*scheduled[l], scheduled, l);
@@ -209,22 +237,22 @@ ChainEngine::runSlot(std::int64_t slot_index)
 }
 
 void
-ChainEngine::bankSlot(const std::vector<Node *> &scheduled, Tick t)
+ChainEngine::bankSlot(const SlotSchedule &sched, Tick t)
 {
     const Tick slot_end = t + _cfg.slotInterval;
     _windowMemo.clear();
 
-    // Ambient income of node @p n over [from, to).  With the shared
-    // stream, a slot produces only a handful of distinct windows — the
-    // slot itself plus the accrual gaps of multiplexed clones — so the
-    // shared integral is memoized per window (a linear scan beats any
-    // hashing) and scaled per node exactly as ScaledTrace::integrate
-    // does.  Otherwise the node's own trace integrates.
-    const auto income = [&](const Node &n, Tick from, Tick to) -> double {
+    // Ambient income of scheduled node @p l over [from, to).  With the
+    // shared stream, a slot produces only a handful of distinct windows
+    // — the slot itself plus the accrual gaps of multiplexed clones —
+    // so the shared integral is memoized per window (a linear scan
+    // beats any hashing) and scaled per node exactly as
+    // ScaledTrace::integrate does.  Otherwise the node's own trace
+    // integrates.
+    const auto income = [&](std::size_t l, Tick from, Tick to) -> double {
         if (!_sharedTrace)
-            return n.trace().integrate(from, to).joules();
-        const double scale =
-            static_cast<const ScaledTrace &>(n.trace()).scale();
+            return sched.nodes[l]->trace().integrate(from, to).joules();
+        const double scale = sched.sharedGain[l];
         for (const IncomeWindow &w : _windowMemo)
             if (w.from == from && w.to == to)
                 return (w.unit * scale).joules();
@@ -235,20 +263,18 @@ ChainEngine::bankSlot(const std::vector<Node *> &scheduled, Tick t)
     // Gap window before slot window, the order Node::beginSlot
     // integrates them in.
     _kernelLanes.clear();
-    for (Node *n : scheduled) {
+    for (std::size_t l = 0; l < sched.rows.size(); ++l) {
         ShardSlotKernel::Lane lane;
-        lane.row = n->shardRow();
-        const Tick last = n->lastAccrualTime();
+        lane.row = sched.rows[l];
+        const Tick last = _soa.lastAccrual[lane.row];
         if (t > last) {
             lane.gapTicks = t - last;
-            lane.gapJoules = income(*n, last, t);
+            lane.gapJoules = income(l, last, t);
         }
-        lane.slotJoules = income(*n, t, slot_end);
+        lane.slotJoules = income(l, t, slot_end);
         _kernelLanes.push_back(lane);
     }
     _kernel.run(_soa, _kernelLanes, t, _cfg.slotInterval);
-    for (Node *n : scheduled)
-        n->rolloverSlotState();
 }
 
 void
@@ -369,14 +395,19 @@ ChainEngine::relayToSink(const std::vector<Node *> &scheduled,
 }
 
 void
-ChainEngine::heal(const std::vector<Node *> &scheduled)
+ChainEngine::heal(const SlotSchedule &sched)
 {
     // Zigbee self-healing (§4): when B in A->B->C fails to start, A
     // broadcasts orphan_scan, C confirms, and the AssociatedDevList
     // updates so traffic bypasses B.  When B recovers it broadcasts
     // and the neighbours re-associate it.  Both handshakes cost the
     // *neighbours* (and the recovering node) short control exchanges.
-    const std::size_t n = scheduled.size();
+    // Liveness is read by row from the shard's awake column; the
+    // facades are touched only by the nodes that pay.
+    const std::vector<Node *> &scheduled = sched.nodes;
+    const std::vector<std::uint32_t> &rows = sched.rows;
+    const std::uint8_t *const awake = _soa.awake.data();
+    const std::size_t n = rows.size();
 
     auto neighbor = [&](std::size_t idx, int dir) -> Node * {
         // Nearest awake neighbour in the given direction.
@@ -387,15 +418,20 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
             if (dir > 0 && j + 1 >= n)
                 return nullptr;
             j = dir < 0 ? j - 1 : j + 1;
-            if (scheduled[j]->awake())
+            if (awake[rows[j]])
                 return scheduled[j];
         }
     };
 
-    for (std::size_t l = 0; l < n; ++l) {
-        const bool now = scheduled[l]->awake();
-        const bool before = _aliveLastSlot[l];
-        if (before && !now) {
+    // Walk the packed flags with one bit iterator (vector<bool>'s
+    // operator[] re-derives the word and mask every call).
+    auto alive_before = _aliveLastSlot.begin();
+    for (std::size_t l = 0; l < n; ++l, ++alive_before) {
+        const bool now = awake[rows[l]] != 0;
+        const bool before = *alive_before;
+        if (before == now)
+            continue;
+        if (before) {
             // Newly dead: the upstream neighbour scans, the
             // downstream one confirms.
             Node *left = neighbor(l, -1);
@@ -409,7 +445,7 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
                     Mac::Config{}.scanConfirmBytes);
                 ++_shard.orphanScans;
             }
-        } else if (!before && now) {
+        } else {
             // Recovered: broadcast presence, neighbours re-associate.
             Node *left = neighbor(l, -1);
             scheduled[l]->payControlMessage(
@@ -423,25 +459,36 @@ ChainEngine::heal(const std::vector<Node *> &scheduled)
                 Mac::Config{}.devListEntryBytes);
             ++_shard.rejoins;
         }
-        _aliveLastSlot[l] = now;
+        *alive_before = now;
     }
 }
 
 void
-ChainEngine::balance(std::vector<Node *> &scheduled)
+ChainEngine::balance(const SlotSchedule &sched)
 {
     // The no-op policy costs nothing and moves nothing.
     if (_balancerIsNoop)
         return;
 
-    // Engine-owned scratch: reuse the capacity, reset the values.
+    // Engine-owned scratch: reuse the capacity, rewrite every entry.
+    // A sleeping node shares only its queue length: by the LbNodeState
+    // alive-only contract no policy reads its capacity or task cost,
+    // so they are left unpriced (and its cost memos untouched).
+    const std::vector<Node *> &scheduled = sched.nodes;
+    const std::uint8_t *const awake = _soa.awake.data();
     std::vector<LbNodeState> &states = _lbStates;
-    states.assign(scheduled.size(), LbNodeState{});
+    states.resize(scheduled.size());
     for (std::size_t i = 0; i < scheduled.size(); ++i) {
-        Node *n = scheduled[i];
+        const std::uint32_t row = sched.rows[i];
         LbNodeState &s = states[i];
-        s.alive = n->awake();
-        s.pendingTasks = n->pendingPackages();
+        s.pendingTasks = _soa.pendingPackages[row];
+        s.alive = awake[row] != 0;
+        if (!s.alive) {
+            s.capacityTasks = 0.0;
+            s.taskCost = 1.0;
+            continue;
+        }
+        const Node *n = scheduled[i];
         // Capacity = own queued work the node can actually complete
         // right now, plus headroom for received tasks.  A node only
         // becomes a donor when it genuinely cannot fund its own queue.
@@ -461,10 +508,9 @@ ChainEngine::balance(std::vector<Node *> &scheduled)
     // Every awake participant shares its state once per round.  The
     // share piggybacks on the slot-synchronization beacon the node
     // already exchanges, so it costs one short control transmission.
-    for (Node *n : scheduled) {
-        if (!n->awake())
-            continue;
-        n->payControlMessage(4);
+    for (std::size_t i = 0; i < scheduled.size(); ++i) {
+        if (awake[sched.rows[i]])
+            scheduled[i]->payControlMessage(4);
     }
 
     Rng lb_rng = _rng.fork();

@@ -159,26 +159,44 @@ class ChainEngine
             ar.io("node" + std::to_string(i), *_nodes[i]);
     }
 
+    /**
+     * One row of the NVD4Q clone schedule: the physical node serving
+     * each logical position, as facades and as shard rows.
+     */
+    struct SlotSchedule
+    {
+        std::vector<Node *> nodes;       ///< in logical order
+        std::vector<std::uint32_t> rows; ///< nodes[l]'s shard row
+        /** nodes[l]'s ScaledTrace gain (only with a shared stream). */
+        std::vector<double> sharedGain;
+    };
+
+    /**
+     * The schedule of slot @p slot_index at the groups' current
+     * rotation: equal, position by position, to
+     * `nodes()[groups()[l].memberForSlot(slot_index)]`.
+     */
+    const SlotSchedule &scheduleFor(std::int64_t slot_index) const;
+
   private:
     /** Build the trace for one physical node. */
     std::unique_ptr<PowerTrace> makeTrace();
 
     /**
      * Bank the scheduled nodes' income at slot start @p t through the
-     * column kernel, then run each node's scalar rollover tail:
-     * bit-identical to node->beginSlot(t, slotInterval) per node (the
-     * oracle in tests/test_shard_kernel.cpp).
+     * column kernel: bit-identical to node->beginSlot(t, slotInterval)
+     * per node (the oracle in tests/test_shard_kernel.cpp).
      */
-    void bankSlot(const std::vector<Node *> &scheduled, Tick t);
+    void bankSlot(const SlotSchedule &sched, Tick t);
 
     /** Rotate NVD4Q clone groups at the configured frequency. */
     void updateMembership(std::int64_t slot_index);
 
     /** Heal the chain around dead nodes (orphan scan / rejoin). */
-    void heal(const std::vector<Node *> &scheduled);
+    void heal(const SlotSchedule &sched);
 
     /** Run the load-balancing round over the scheduled nodes. */
-    void balance(std::vector<Node *> &scheduled);
+    void balance(const SlotSchedule &sched);
 
     /** Serve a possible real-time request at this node. */
     void maybeServeRealTimeRequest(Node &node,
@@ -235,13 +253,17 @@ class ChainEngine
     std::vector<CloneGroup> _groups;
     /** Whether each logical position was alive last slot. */
     std::vector<bool> _aliveLastSlot;
+    /**
+     * The row schedule, one entry per clone phase (mux entries): entry
+     * q holds member q of every group.  See scheduleFor().
+     */
+    std::vector<SlotSchedule> _schedules; // neofog-lint: allow(snapshot): construction-derived from the clone groups; the rotation that picks an entry is archived with the groups
 
     /**
      * Per-slot scratch, kept as members so the hot loop reuses their
      * capacity instead of reallocating every slot.  Valid only within
      * one runSlot/balance invocation.
      */
-    std::vector<Node *> _scheduled; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
     std::vector<LbNodeState> _lbStates; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
     LbOutcome _lbOutcome; // neofog-lint: allow(snapshot): per-slot scratch, valid only within one runSlot; reconstructed empty on resume
 

@@ -352,52 +352,6 @@ FogSystem::restore(const std::string &file, const snapshot::Snapshot &snap,
     return system;
 }
 
-void
-FogSystem::dumpStats(std::ostream &os) const
-{
-    StatRegistry registry;
-    for (std::size_t c = 0; c < _engines.size(); ++c) {
-        const auto &nodes = _engines[c]->nodes();
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            const NodeStats &st = nodes[i]->stats();
-            const std::string prefix =
-                "chain" + std::to_string(_engines[c]->chainIndex()) +
-                ".node" + std::to_string(i) + ".";
-            registry.registerCounter(prefix + "wakeups", &st.wakeups);
-            registry.registerCounter(prefix + "depletionFailures",
-                                     &st.depletionFailures);
-            registry.registerCounter(prefix + "packagesSampled",
-                                     &st.packagesSampled);
-            registry.registerCounter(prefix + "packagesToCloud",
-                                     &st.packagesToCloud);
-            registry.registerCounter(prefix + "packagesInFog",
-                                     &st.packagesInFog);
-            registry.registerCounter(prefix + "tasksExecuted",
-                                     &st.tasksExecuted);
-            registry.registerCounter(prefix + "incidentalTasks",
-                                     &st.incidentalTasks);
-            registry.registerCounter(prefix + "tasksReceived",
-                                     &st.tasksReceived);
-            registry.registerCounter(prefix + "tasksShipped",
-                                     &st.tasksShipped);
-            registry.registerCounter(prefix + "txFailures",
-                                     &st.txFailures);
-            registry.registerCounter(prefix + "samplesDiscarded",
-                                     &st.samplesDiscarded);
-            registry.registerCounter(prefix + "rtcResyncs",
-                                     &st.rtcResyncs);
-        }
-    }
-    registry.dump(os);
-    for (const auto &engine : _engines) {
-        for (const WatchedNode &w : engine->probe().watched) {
-            os << "chain" << engine->chainIndex() << ".node" << w.row
-               << ".storedEnergyMj.points " << w.storedEnergyMj.size()
-               << "\n";
-        }
-    }
-}
-
 std::vector<report_io::LabeledSeries>
 FogSystem::probeSeries() const
 {

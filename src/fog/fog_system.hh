@@ -22,7 +22,6 @@
 #define NEOFOG_FOG_FOG_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "fog/chain_engine.hh"
@@ -164,13 +163,6 @@ class FogSystem
     /** The per-chain engines, in chain order. */
     const std::vector<std::unique_ptr<ChainEngine>> &chains() const
     { return _engines; }
-
-    /**
-     * Dump every node's counters as "name value" lines (gem5-style),
-     * e.g. `chain0.node3.wakeups 117`, then each watched node's series
-     * size (`chain0.node3.storedEnergyMj.points 150`).
-     */
-    void dumpStats(std::ostream &os) const;
 
     /**
      * Snapshot every chain's probe series for export, in chain order

@@ -48,6 +48,11 @@ SoftwareRf::SoftwareRf()
 SoftwareRf::SoftwareRf(const SwConfig &cfg)
     : RfModule(cfg.base), _sw(cfg)
 {
+    const RfPhase init{_sw.initLatency, _cfg.initPower * _sw.initLatency};
+    // Rejoining the network needs the receiver on.
+    const RfPhase rejoin{_sw.rejoinLatency,
+                         _cfg.rxPower * _sw.rejoinLatency};
+    _init = init + rejoin;
 }
 
 SoftwareRf::SwConfig
@@ -64,10 +69,7 @@ SoftwareRf::nvmDirectConfig()
 RfPhase
 SoftwareRf::initCost() const
 {
-    RfPhase init{_sw.initLatency, _cfg.initPower * _sw.initLatency};
-    // Rejoining the network needs the receiver on.
-    RfPhase rejoin{_sw.rejoinLatency, _cfg.rxPower * _sw.rejoinLatency};
-    return init + rejoin;
+    return _init;
 }
 
 RfPhase
@@ -98,16 +100,17 @@ NvRfController::NvRfController()
 }
 
 NvRfController::NvRfController(const NvConfig &cfg)
-    : RfModule(cfg.base), _nv(cfg)
+    : RfModule(cfg.base), _nv(cfg),
+      _selfInit{_nv.selfInitLatency, _cfg.initPower * _nv.selfInitLatency},
+      _hostConfigure{_nv.configureLatency,
+                     _cfg.initPower * _nv.configureLatency}
 {
 }
 
 RfPhase
 NvRfController::initCost() const
 {
-    const Tick t = _configured ? _nv.selfInitLatency
-                               : _nv.configureLatency;
-    return {t, _cfg.initPower * t};
+    return _configured ? _selfInit : _hostConfigure;
 }
 
 RfPhase
@@ -123,7 +126,7 @@ RfPhase
 NvRfController::configure()
 {
     _configured = true;
-    return {_nv.configureLatency, _cfg.initPower * _nv.configureLatency};
+    return _hostConfigure;
 }
 
 RfPhase
@@ -140,8 +143,7 @@ NvRfController::cloneFrom(const NvRfController &other)
         airtime(64 + 4 * other._state.associatedDevList.size()) +
         ticksFromMs(2.0);
     RfPhase cost{rx_window, _cfg.rxPower * rx_window};
-    cost += RfPhase{_nv.selfInitLatency,
-                    _cfg.initPower * _nv.selfInitLatency};
+    cost += _selfInit;
     return cost;
 }
 

@@ -176,6 +176,8 @@ class SoftwareRf : public RfModule
 
   private:
     SwConfig _sw;
+    /** initCost(), priced once: it depends on the config alone. */
+    RfPhase _init;
 };
 
 /**
@@ -237,6 +239,9 @@ class NvRfController : public RfModule
 
   private:
     NvConfig _nv; // neofog-lint: allow(snapshot): one-time NV configuration latch, rebuilt from the scenario on resume; the network state lives in RfState::serialize
+    /** The two initCost() answers, priced once from the config. */
+    RfPhase _selfInit; // neofog-lint: allow(snapshot): priced from the config at construction
+    RfPhase _hostConfigure; // neofog-lint: allow(snapshot): priced from the config at construction
     bool _configured = false;
 };
 

@@ -416,6 +416,12 @@ Node::spend(Energy e, bool direct_eligible)
 EnergyClass
 Node::classify() const
 {
+    // Dead floor: activationCost() >= wake + sample in the NVP modes
+    // (see its definition), so failing the smaller sum already fails
+    // the threshold.  NosVp activates on wakeCost() alone.
+    if (_cfg.mode != OperatingMode::NosVp &&
+        !canAfford(wakeCost() + sampleCost(), false))
+        return EnergyClass::Dead;
     if (!canAfford(activationCost(), false))
         return EnergyClass::Dead;
     const Energy full = slotCost();

@@ -229,23 +229,19 @@ class Node
     void beginSlotWithIncome(Tick slot_start, Tick slot_length,
                              Energy gap_ambient, Energy slot_ambient);
 
-    /**
-     * The non-arithmetic tail of the slot boundary: age the pending
-     * queue (discarding stale packages) and power-cycle the volatile
-     * peripherals.  beginSlotWithIncome calls this itself; the
-     * ChainEngine runs the banking arithmetic column-wise through
-     * ShardSlotKernel and then calls this per node, so the two paths
-     * stay bit-identical.
-     */
-    void rolloverSlotState();
-
     /** End of the window income has been integrated up to. */
     Tick lastAccrualTime() const { return _shard->lastAccrual[_row]; }
 
     /** The ambient income trace driving this node. */
     const PowerTrace &trace() const { return *_trace; }
 
-    /** Energy classification at the current slot boundary. */
+    /**
+     * Energy classification at the current slot boundary.  In the NVP
+     * modes the activation cost is wake + sample + task/4 with a
+     * non-negative task cost, so stored energy that cannot even fund
+     * wake + sample is Dead without pricing the task (the dead floor:
+     * a sleeping node never refreshes its per-slot cost memos).
+     */
     EnergyClass classify() const;
 
     /**
@@ -518,6 +514,15 @@ class Node
     /** Report a completed phase to the attached observer, if any. */
     void notifyPhase(NodeObserver::Phase phase, Tick start,
                      Tick duration, Energy energy);
+
+    /**
+     * The non-arithmetic tail of the slot boundary: age the pending
+     * queue (discarding stale packages) and power-cycle the volatile
+     * peripherals.  beginSlotWithIncome runs it after the banking
+     * arithmetic; ShardSlotKernel::run does the same per lane, and
+     * tests/test_shard_kernel.cpp holds the two to the same bits.
+     */
+    void rolloverSlotState();
 
     /** Add @p n fresh pending packages (age 0). */
     void pushPending(int n);

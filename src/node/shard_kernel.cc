@@ -53,7 +53,8 @@ ShardSlotKernelParams
 ShardSlotKernelParams::fromConfigs(const SuperCapacitor::Config &cap,
                                    const Rtc::Config &rtc,
                                    const FrontEnd::Config &frontend,
-                                   bool fios)
+                                   bool fios,
+                                   std::size_t raw_package_bytes)
 {
     ShardSlotKernelParams p;
     p.capGainPerAmbient =
@@ -68,6 +69,7 @@ ShardSlotKernelParams::fromConfigs(const SuperCapacitor::Config &cap,
     p.rtcLeakW = rtc.cap.leakage.watts();
     p.rtcDrawW = rtc.draw.watts();
     p.fios = fios;
+    p.rawPackageBytes = raw_package_bytes;
     return p;
 }
 
@@ -131,8 +133,12 @@ namespace {
  * on the sparse path).  Templated on the FIOS flag
  * because a select on a loop-invariant scalar bool (`fios ? x : 0.0`)
  * is not a vectorizable operation either — `if constexpr` removes it.
+ * Templated on kGap too: when no lane has a gap window (every chain
+ * at mux 1 after its first slot), the gap phase is the scalar path's
+ * skipped branch for every lane, so it is left out altogether — a
+ * third of each lane's dependent chain of float ops.
  */
-template <bool kFios>
+template <bool kFios, bool kGap>
 void
 computeLanes(double *__restrict cap_stored,
              double *__restrict cap_charged,
@@ -200,47 +206,49 @@ computeLanes(double *__restrict cap_stored,
         cc += facc;
         co += famt - facc;
 
-        // 2. Gap window (multiplexed nodes sleep through slots).
-        //    Lanes without a gap run with zero duration/income — a
-        //    bit-exact no-op (see the header comment).
-        const double g = gap_j[i];
-        const double gsec = gap_sec[i];
-        const double gap_share = g * rtc_priority;
-        // rtc.advance(gap, share * harvestEff):  charge ...
-        const double grin = gap_share * harvest_eff;
-        const double gramt = grin < 0.0 ? 0.0 : grin;
-        const double grroom = rtc_capacity - rs;
-        const double gracc = grroom < gramt ? grroom : gramt;
-        rs += gracc;
-        rc += gracc;
-        ro += gramt - gracc;
-        // ... leak ...
-        const double grlk = rtc_leak_w * gsec;
-        const double grloss = rs < grlk ? rs : grlk;
-        rs -= grloss;
-        rl += grloss;
-        // ... draw (drain + desync when the cap runs dry).
-        const double gneed_raw = rtc_draw_w * gsec;
-        const double gneed = gneed_raw < 0.0 ? 0.0 : gneed_raw;
-        const bool gok = !(rs < gneed);
-        const double gremoved = gok ? gneed : rs;
-        rs -= gremoved;
-        rd += gremoved;
-        const double gwas = sync;
-        sync = gok ? gwas : 0.0;
-        dz += (!gok && gwas != 0.0) ? 1.0 : 0.0;
-        // cap.charge(incomeToCap(gap - share)); cap.leak(gap).
-        const double gcin = (g - gap_share) * cap_gain;
-        const double gcamt = gcin < 0.0 ? 0.0 : gcin;
-        const double gcroom = cap_capacity - cs;
-        const double gcacc = gcroom < gcamt ? gcroom : gcamt;
-        cs += gcacc;
-        cc += gcacc;
-        co += gcamt - gcacc;
-        const double gclk = cap_leak_w * gsec;
-        const double gcloss = cs < gclk ? cs : gclk;
-        cs -= gcloss;
-        cl += gcloss;
+        if constexpr (kGap) {
+            // 2. Gap window (multiplexed nodes sleep through slots).
+            //    Lanes without a gap run with zero duration/income — a
+            //    bit-exact no-op (see the header comment).
+            const double g = gap_j[i];
+            const double gsec = gap_sec[i];
+            const double gap_share = g * rtc_priority;
+            // rtc.advance(gap, share * harvestEff):  charge ...
+            const double grin = gap_share * harvest_eff;
+            const double gramt = grin < 0.0 ? 0.0 : grin;
+            const double grroom = rtc_capacity - rs;
+            const double gracc = grroom < gramt ? grroom : gramt;
+            rs += gracc;
+            rc += gracc;
+            ro += gramt - gracc;
+            // ... leak ...
+            const double grlk = rtc_leak_w * gsec;
+            const double grloss = rs < grlk ? rs : grlk;
+            rs -= grloss;
+            rl += grloss;
+            // ... draw (drain + desync when the cap runs dry).
+            const double gneed_raw = rtc_draw_w * gsec;
+            const double gneed = gneed_raw < 0.0 ? 0.0 : gneed_raw;
+            const bool gok = !(rs < gneed);
+            const double gremoved = gok ? gneed : rs;
+            rs -= gremoved;
+            rd += gremoved;
+            const double gwas = sync;
+            sync = gok ? gwas : 0.0;
+            dz += (!gok && gwas != 0.0) ? 1.0 : 0.0;
+            // cap.charge(incomeToCap(gap - share)); cap.leak(gap).
+            const double gcin = (g - gap_share) * cap_gain;
+            const double gcamt = gcin < 0.0 ? 0.0 : gcin;
+            const double gcroom = cap_capacity - cs;
+            const double gcacc = gcroom < gcamt ? gcroom : gcamt;
+            cs += gcacc;
+            cc += gcacc;
+            co += gcamt - gcacc;
+            const double gclk = cap_leak_w * gsec;
+            const double gcloss = cs < gclk ? cs : gclk;
+            cs -= gcloss;
+            cl += gcloss;
+        }
 
         // 3. Slot window: bank the slot's income (direct channel for
         //    FIOS, charge path otherwise) and keep the RTC alive.
@@ -316,6 +324,7 @@ ShardSlotKernel::run(NodeShard &shard, const std::vector<Lane> &lanes,
     _gapSec.resize(n);
     const std::uint32_t row0 = lanes[0].row;
     bool dense = true;
+    bool any_gap = false;
     for (std::size_t i = 0; i < n; ++i) {
         const Lane &lane = lanes[i];
         NEOFOG_ASSERT(shard.lastAccrual[lane.row] + lane.gapTicks ==
@@ -323,11 +332,17 @@ ShardSlotKernel::run(NodeShard &shard, const std::vector<Lane> &lanes,
                       "kernel lane gap must close exactly at slot start");
         _gapJ[i] = lane.gapJoules;
         _slotJ[i] = lane.slotJoules;
-        _gapSec[i] = secondsFromTicks(lane.gapTicks);
+        // (A gapless lane's duration is +0.0 either way; skipping the
+        // division keeps mux-1 staging cheap.)
+        _gapSec[i] = lane.gapTicks != 0 ? secondsFromTicks(lane.gapTicks)
+                                        : 0.0;
         dense = dense && lane.row == row0 + i;
+        any_gap = any_gap || lane.gapTicks != 0;
     }
 
-    const auto compute = _p.fios ? computeLanes<true> : computeLanes<false>;
+    const auto compute = _p.fios
+        ? (any_gap ? computeLanes<true, true> : computeLanes<true, false>)
+        : (any_gap ? computeLanes<false, true> : computeLanes<false, false>);
     const double slot_sec = secondsFromTicks(slot_length);
     if (dense) {
         // In-place fast path: the shard's state columns ARE the kernel
@@ -377,16 +392,17 @@ ShardSlotKernel::run(NodeShard &shard, const std::vector<Lane> &lanes,
     }
 
     // Slot bookkeeping for every lane: the non-FP resets, the income
-    // memo, and the harvested totals.  harvestedTotal accumulates gap
+    // memo, the harvested totals, then the rollover — the work of
+    // Node::rolloverSlotState, by row.  harvestedTotal accumulates gap
     // then slot income as two separate adds, in the scalar statement
     // order (the total never feeds back into the banking arithmetic,
     // so deferring it past the compute pass cannot change any bit).
     const Tick slot_end = slot_start + slot_length;
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t r = lanes[i].row;
-        Energy &harvested = shard.stats[r].harvestedTotal;
-        harvested += Energy::fromJoules(_gapJ[i]);
-        harvested += Energy::fromJoules(_slotJ[i]);
+        NodeStats &st = shard.stats[r];
+        st.harvestedTotal += Energy::fromJoules(_gapJ[i]);
+        st.harvestedTotal += Energy::fromJoules(_slotJ[i]);
         shard.lastIncome[r] = Power::fromWatts(_slotJ[i] / slot_sec);
         shard.slotCostsValid[r] = 0;
         shard.lastAccrual[r] = slot_end;
@@ -395,6 +411,26 @@ ShardSlotKernel::run(NodeShard &shard, const std::vector<Lane> &lanes,
         shard.slotTimeUsed[r] = 0;
         shard.awake[r] = 0;
         shard.rfInitializedThisSlot[r] = 0;
+
+        // Age the pending queue one slot; what falls off the end is
+        // past its freshness deadline and is discarded.
+        int *const ages = shard.pendingAge.data() + shard.pendingOffset[r];
+        const std::size_t depth = shard.pendingDepth[r];
+        const int stale = ages[depth - 1];
+        for (std::size_t a = depth - 1; a > 0; --a)
+            ages[a] = ages[a - 1];
+        ages[0] = 0;
+        if (stale > 0) {
+            shard.pendingPackages[r] -= stale;
+            shard.buffer[r].pop(static_cast<std::size_t>(stale) *
+                                _p.rawPackageBytes);
+            st.samplesDiscarded.increment(
+                static_cast<std::uint64_t>(stale));
+        }
+
+        // Power cycle: volatile peripherals lose their configuration.
+        shard.sensor[r].onPowerFailure();
+        shard.rf[r]->onPowerFailure();
     }
 }
 

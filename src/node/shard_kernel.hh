@@ -29,12 +29,13 @@
  * *within* a node, which is what keeps the result bit-identical to
  * the scalar path (DESIGN.md, "Slot banking").
  *
- * The kernel covers the banking half of beginSlotWithIncome (direct
- * flush, gap window, slot window, income/slot scalar resets); the
- * non-arithmetic rollover half (pending-age ring shift, peripheral
- * power-failure resets) stays scalar in Node::rolloverSlotState, which
- * the ChainEngine calls per node after the kernel.  Rows are mutually
- * independent, so splitting the two halves across nodes is order-safe.
+ * The kernel covers all of beginSlotWithIncome: the banking arithmetic
+ * (direct flush, gap window, slot window) in the column pass, then one
+ * per-lane bookkeeping pass for the rest — income/slot scalar resets,
+ * the pending-age ring shift with its stale discard, and the sensor
+ * and radio power-failure resets (Node::rolloverSlotState's work, done
+ * by row).  Rows are mutually independent, so running the two passes
+ * lane after lane instead of node after node is order-safe.
  *
  * The kernel is the fleet's only slot-banking path; the scalar
  * Node::beginSlotWithIncome stays as the reference it is tested
@@ -74,11 +75,14 @@ struct ShardSlotKernelParams
     double rtcLeakW = 0;          ///< RTC cap self-leakage
     double rtcDrawW = 0;          ///< continuous RTC draw
     bool fios = false;            ///< direct channel present
+    /** Buffer bytes one stale package frees (Node::Config). */
+    std::size_t rawPackageBytes = 0;
 
     /** Hoist the constants from one node's component configs. */
     static ShardSlotKernelParams fromConfigs(
         const SuperCapacitor::Config &cap, const Rtc::Config &rtc,
-        const FrontEnd::Config &frontend, bool fios);
+        const FrontEnd::Config &frontend, bool fios,
+        std::size_t raw_package_bytes);
 };
 
 /**
@@ -102,9 +106,9 @@ class ShardSlotKernel
 
     /**
      * Advance every lane of @p lanes to @p slot_start, bit-identically
-     * to calling Node::beginSlotWithIncome on each row (minus the
-     * rollover half — see Node::rolloverSlotState).  Lanes may cover
-     * any subset of the shard's rows; each row at most once per call.
+     * to calling Node::beginSlotWithIncome on each row.  Lanes may
+     * cover any subset of the shard's rows; each row at most once per
+     * call.
      */
     void run(NodeShard &shard, const std::vector<Lane> &lanes,
              Tick slot_start, Tick slot_length);

@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "balance/balancer.hh"
+#include "balance/policy_registry.hh"
 #include "sim/logging.hh"
 
 namespace neofog {
@@ -235,6 +242,109 @@ TEST(ClusterBalancer, RejectsBadConfig)
     ClusterBalancer::Config cfg;
     cfg.clusterSize = 1;
     EXPECT_THROW(ClusterBalancer{cfg}, FatalError);
+}
+
+// ---------------------------------------------------------------------
+// LbNodeState alive-only contract (see balancer.hh): the ChainEngine
+// leaves a sleeping node's capacity and task cost unpriced, so no
+// policy may read them.
+// ---------------------------------------------------------------------
+
+/** A random round: mixed queues, capacities and ~40% sleeping nodes. */
+std::vector<LbNodeState>
+randomRound(Rng &rng, std::size_t n)
+{
+    std::vector<LbNodeState> states(n);
+    for (LbNodeState &s : states) {
+        s.alive = !rng.chance(0.4);
+        s.pendingTasks = static_cast<int>(rng.uniformInt(0, 6));
+        // What ChainEngine::balance writes for a sleeping node.
+        s.capacityTasks = s.alive ? rng.uniform(0.0, 5.0) : 0.0;
+        s.taskCost = s.alive ? rng.uniform(0.5, 1.5) : 1.0;
+    }
+    return states;
+}
+
+/** Everything a round decides, plus where it left its Rng stream. */
+struct RoundResult
+{
+    std::vector<std::size_t> moves; ///< (from, to, tasks) flattened
+    int messages = 0;
+    int failed = 0;
+    std::uint64_t rngAfter = 0;
+
+    bool operator==(const RoundResult &) const = default;
+};
+
+RoundResult
+playRound(LoadBalancer &bal, const std::vector<LbNodeState> &states,
+          std::uint64_t seed)
+{
+    Rng rng(seed);
+    LbOutcome out;
+    bal.balanceInto(states, rng, out);
+    RoundResult r;
+    for (const TaskMove &m : out.moves) {
+        r.moves.push_back(m.from);
+        r.moves.push_back(m.to);
+        r.moves.push_back(static_cast<std::size_t>(m.tasks));
+    }
+    r.messages = out.messagesExchanged;
+    r.failed = out.failedRegions;
+    r.rngAfter = rng.next();
+    return r;
+}
+
+TEST(LbNodeStateContract, SleepingNodesCapacityAndCostAreNeverRead)
+{
+    const double junk[] = {std::numeric_limits<double>::quiet_NaN(),
+                           -1.0, 1e9};
+    for (const std::string &name : PolicyRegistry::instance().names()) {
+        const auto bal = PolicyRegistry::instance().make(name);
+        Rng draw(41);
+        int sleepers = 0;
+        for (int trial = 0; trial < 60; ++trial) {
+            const std::size_t n =
+                2 + static_cast<std::size_t>(draw.uniformInt(0, 14));
+            const std::vector<LbNodeState> states = randomRound(draw, n);
+            const auto seed = static_cast<std::uint64_t>(1000 + trial);
+            const RoundResult expect = playRound(*bal, states, seed);
+            for (const double j : junk) {
+                std::vector<LbNodeState> poisoned = states;
+                for (LbNodeState &s : poisoned) {
+                    if (s.alive)
+                        continue;
+                    s.capacityTasks = j;
+                    s.taskCost = j;
+                    ++sleepers;
+                }
+                EXPECT_EQ(playRound(*bal, poisoned, seed), expect)
+                    << name << ", trial " << trial << ", junk " << j;
+            }
+        }
+        EXPECT_GT(sleepers, 0) << name;
+    }
+}
+
+TEST(LbNodeStateContract, ScratchCarriesNothingAcrossRounds)
+{
+    // One instance balancing chains of changing size (its load/spare
+    // scratch shrinks and regrows) decides exactly what a fresh
+    // instance decides for each round.
+    const std::size_t sizes[] = {12, 3, 16, 1, 9, 16, 2};
+    for (const std::string &name : PolicyRegistry::instance().names()) {
+        const auto reused = PolicyRegistry::instance().make(name);
+        Rng draw(43);
+        std::uint64_t seed = 7;
+        for (const std::size_t n : sizes) {
+            const std::vector<LbNodeState> states = randomRound(draw, n);
+            const auto fresh = PolicyRegistry::instance().make(name);
+            EXPECT_EQ(playRound(*reused, states, seed),
+                      playRound(*fresh, states, seed))
+                << name << ", chain of " << n;
+            ++seed;
+        }
+    }
 }
 
 } // namespace

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "energy/power_trace.hh"
 #include "fog/fog_system.hh"
 #include "node/node.hh"
+#include "node/node_soa.hh"
 #include "sim/logging.hh"
 
 namespace neofog {
@@ -147,6 +152,90 @@ TEST(Node, ClassifyLaddersWithStoredEnergy)
                           Power::fromMicrowatts(1.0), cfg4, true);
     node4->beginSlot(0, kSlot);
     EXPECT_EQ(node4->classify(), EnergyClass::Extra);
+}
+
+TEST(Node, DeadFloorAgreesWithTheFullActivationCheck)
+{
+    // classify()'s dead floor (NVP modes: deliverable < wake + sample)
+    // must reach the same Dead verdict as the full activation check,
+    // on both sides of the floor and of the threshold, and must leave
+    // the per-slot cost memos unpriced when it fires.  NosVp activates
+    // on wakeCost() alone, so no floor applies there.
+    for (const OperatingMode mode :
+         {OperatingMode::FiosNvMote, OperatingMode::NosNvp,
+          OperatingMode::NosVp}) {
+        SCOPED_TRACE(operatingModeName(mode));
+        NodeShard shard;
+        shard.reserveRows(1, 1);
+        Node node(baseConfig(mode),
+                  std::make_unique<ConstantTrace>(1.0_mW), Rng(7),
+                  shard);
+        const std::uint32_t row = node.shardRow();
+        const double eff = node.frontend().config().dischargeEfficiency;
+        const bool nvp = mode != OperatingMode::NosVp;
+
+        // The two thresholds as deliverable energy (J): the floor and
+        // the full activation cost at this slot's income.
+        node.beginSlot(0, kSlot);
+        const double floor_j =
+            (node.wakeCost() + node.sampleCost()).joules();
+        const double activation_j = node.activationCost().joules();
+        if (nvp) {
+            ASSERT_LT(floor_j, activation_j);
+        } else {
+            ASSERT_GT(floor_j, activation_j); // wake + sample > wake
+        }
+
+        // Stored levels whose deliverable energy sits just below, at
+        // and just above each threshold, between them, and far off.
+        std::vector<double> stored_j = {
+            0.0, 2.0 * std::max(floor_j, activation_j) / eff};
+        for (const double mark : {floor_j, activation_j}) {
+            const double at = mark / eff;
+            stored_j.push_back(std::nextafter(at, 0.0));
+            stored_j.push_back(at);
+            stored_j.push_back(std::nextafter(at, 1.0));
+            stored_j.push_back(at * (1.0 - 1e-9));
+            stored_j.push_back(at * (1.0 + 1e-9));
+        }
+        stored_j.push_back(0.5 * (floor_j + activation_j) / eff);
+
+        int floored = 0;
+        int dead_above_floor = 0;
+        int vp_alive_below_floor = 0;
+        for (std::size_t k = 0; k < stored_j.size(); ++k) {
+            const Tick t = static_cast<Tick>(k + 1) * kSlot;
+            node.beginSlot(t, kSlot);
+            node.capacitor().setStored(Energy::fromJoules(stored_j[k]));
+            ASSERT_EQ(shard.slotCostsValid[row], 0) << "memo stale";
+
+            const EnergyClass got = node.classify();
+            const bool memo_priced = shard.slotCostsValid[row] != 0;
+
+            // The full check, from the public cost accessors.
+            const double deliverable = node.stored().joules() * eff;
+            const bool dead = !(deliverable >= node.activationCost().joules());
+            EXPECT_EQ(got == EnergyClass::Dead, dead)
+                << "stored " << stored_j[k] << " J";
+            if (nvp && !(deliverable >= floor_j)) {
+                ++floored;
+                EXPECT_FALSE(memo_priced)
+                    << "the floor must not price the task";
+            } else if (dead) {
+                ++dead_above_floor;
+            }
+            if (!nvp && !(deliverable >= floor_j) && !dead)
+                ++vp_alive_below_floor;
+        }
+        // Both Dead paths ran: the floor, and (NVP) the full check
+        // between the floor and the threshold.
+        if (nvp) {
+            EXPECT_GT(floored, 0);
+        } else {
+            EXPECT_GT(vp_alive_below_floor, 0);
+        }
+        EXPECT_GT(dead_above_floor, 0);
+    }
 }
 
 TEST(Node, SamplePackageFillsQueue)

@@ -1,14 +1,16 @@
 /**
  * @file
  * Oracle property test for the column slot kernel (ShardSlotKernel),
- * the ChainEngine's only slot-banking path: ShardSlotKernel::run plus
- * Node::rolloverSlotState on one shard must leave every state column
- * and every harvestedTotal bit-for-bit where the scalar reference,
- * Node::beginSlotWithIncome, leaves a twin shard fed the same income.
- * Randomized slots cover dense lanes (whole shard or a consecutive
- * sub-range, computed in place) and sparse lanes (mux-style and random
- * row subsets, wider than one tile), FIOS and non-FIOS banking, zero
- * income, capacitor overflow, RTC desync, and lanes with and without
+ * the ChainEngine's only slot-boundary path: ShardSlotKernel::run on
+ * one shard must leave every state column, every harvestedTotal and
+ * the whole rollover (pending ages, stale discards, buffer fill,
+ * samplesDiscarded, sensor and radio power-failure resets) bit-for-bit
+ * where the scalar reference, Node::beginSlotWithIncome, leaves a twin
+ * shard fed the same income.  Randomized slots cover dense lanes
+ * (whole shard or a consecutive sub-range, computed in place) and
+ * sparse lanes (mux-style and random row subsets, wider than one
+ * tile), FIOS and non-FIOS banking, zero income, capacitor overflow,
+ * RTC desync, queues with stale packages, and lanes with and without
  * an accrual gap.  Registered under the "perf" ctest label.
  */
 
@@ -101,6 +103,18 @@ expectShardsEqual(const NodeShard &k, const NodeShard &s,
     EXPECT_EQ(k.rfInitializedThisSlot, s.rfInitializedThisSlot) << where;
     EXPECT_EQ(k.slotCostsValid, s.slotCostsValid) << where;
     EXPECT_EQ(k.pendingAge, s.pendingAge) << where;
+    EXPECT_EQ(k.pendingPackages, s.pendingPackages) << where;
+    for (std::size_t r = 0; r < k.rows(); ++r) {
+        ASSERT_EQ(k.stats[r].samplesDiscarded.value(),
+                  s.stats[r].samplesDiscarded.value())
+            << "samplesDiscarded row " << r << " " << where;
+        ASSERT_EQ(k.buffer[r].size(), s.buffer[r].size())
+            << "buffer row " << r << " " << where;
+        ASSERT_EQ(k.sensor[r].initialized(), s.sensor[r].initialized())
+            << "sensor row " << r << " " << where;
+        ASSERT_EQ(k.rf[r]->state(), s.rf[r]->state())
+            << "rf row " << r << " " << where;
+    }
 }
 
 /** Which rows one randomized slot wakes. */
@@ -164,10 +178,27 @@ incomeJoules(std::mt19937_64 &rng, Tick window)
 }
 
 /**
+ * Give row @p r of @p sh a warm sensor, a radio whose network state a
+ * volatile radio loses at power-off, and a fresh sample in its queue —
+ * what a woken node leaves behind, for the next rollover to reset and
+ * age (a package ages out after `depth` boundaries).
+ */
+void
+wakeRow(NodeShard &sh, std::size_t r, std::size_t raw_bytes)
+{
+    sh.sensor[r].initialize();
+    sh.rf[r]->state().routeVersion += 1;
+    sh.pendingAge[sh.pendingOffset[r]] += 1;
+    sh.pendingPackages[r] += 1;
+    sh.buffer[r].push(raw_bytes);
+}
+
+/**
  * Randomize the banking state of row @p r identically on both shards:
  * stored levels from empty to full, RTC in or out of sync and
  * sometimes too dry to keep its draw, a leftover FIOS direct budget,
- * and an accrual cursor up to a few slots behind @p t0.
+ * an accrual cursor up to a few slots behind @p t0, and a pending
+ * queue spread over every age.
  */
 void
 seedRow(NodeShard &k, NodeShard &s, std::size_t r, Tick t0,
@@ -187,6 +218,17 @@ seedRow(NodeShard &k, NodeShard &s, std::size_t r, Tick t0,
         sh->directBudgetJ[r] = direct;
         sh->lastAccrual[r] = last;
     }
+    for (std::size_t a = 0; a < k.pendingDepth[r]; ++a) {
+        const int count = static_cast<int>(rng() % 3);
+        for (int c = 0; c < count; ++c) {
+            for (NodeShard *sh : {&k, &s}) {
+                wakeRow(*sh, r, p.rawPackageBytes);
+                // wakeRow queues at age 0; move it to age a.
+                sh->pendingAge[sh->pendingOffset[r]] -= 1;
+                sh->pendingAge[sh->pendingOffset[r] + a] += 1;
+            }
+        }
+    }
 }
 
 void
@@ -199,12 +241,13 @@ runOracle(OperatingMode mode, std::uint64_t seed)
     Node::Config tmpl;
     tmpl.mode = mode;
     tmpl.rtc.interval = kSlot;
+    tmpl.packageDeadlineSlots = 3; // age rings deeper than one slot
     TwinShard kernel_side(tmpl, kRows);
     TwinShard scalar_side(tmpl, kRows);
 
     const ShardSlotKernelParams params = ShardSlotKernelParams::fromConfigs(
         tmpl.cap, tmpl.rtc, kernel_side.nodes.front()->frontend().config(),
-        mode == OperatingMode::FiosNvMote);
+        mode == OperatingMode::FiosNvMote, tmpl.rawPackageBytes);
     ShardSlotKernel kernel(params);
 
     std::mt19937_64 rng(seed);
@@ -213,12 +256,18 @@ runOracle(OperatingMode mode, std::uint64_t seed)
     expectShardsEqual(kernel_side.shard, scalar_side.shard, "at seeding");
 
     std::size_t gap_lanes = 0;
+    std::size_t gapless_slots = 0;
     std::size_t flush_lanes = 0;
     std::vector<ShardSlotKernel::Lane> lanes;
     for (int k = 0; k < kSlots; ++k) {
         const Tick t = t0 + k * kSlot;
-        const auto shape = static_cast<LaneShape>(rng() % 4);
+        // Two whole-shard slots in a row every ten: the second has no
+        // gap lane at all, the kernel's gap-free variant.
+        const auto shape = k % 10 >= 8
+            ? LaneShape::DenseAll
+            : static_cast<LaneShape>(rng() % 4);
         lanes.clear();
+        const std::size_t gap_lanes_before = gap_lanes;
         for (const std::uint32_t row :
              pickRows(shape, kRows, k, rng)) {
             ShardSlotKernel::Lane lane;
@@ -234,14 +283,22 @@ runOracle(OperatingMode mode, std::uint64_t seed)
                 ++flush_lanes;
             lanes.push_back(lane);
         }
+        if (gap_lanes == gap_lanes_before)
+            ++gapless_slots;
 
         kernel.run(kernel_side.shard, lanes, t, kSlot);
-        for (const ShardSlotKernel::Lane &lane : lanes)
-            kernel_side.nodes[lane.row]->rolloverSlotState();
         for (const ShardSlotKernel::Lane &lane : lanes)
             scalar_side.nodes[lane.row]->beginSlotWithIncome(
                 t, kSlot, Energy::fromJoules(lane.gapJoules),
                 Energy::fromJoules(lane.slotJoules));
+        // Some lanes "wake" in the slot just banked: the next boundary
+        // must power-cycle them and age their fresh sample.
+        for (const ShardSlotKernel::Lane &lane : lanes) {
+            if (rng() % 2 != 0)
+                continue;
+            wakeRow(kernel_side.shard, lane.row, params.rawPackageBytes);
+            wakeRow(scalar_side.shard, lane.row, params.rawPackageBytes);
+        }
 
         expectShardsEqual(kernel_side.shard, scalar_side.shard,
                           "after slot " + std::to_string(k) +
@@ -254,13 +311,17 @@ runOracle(OperatingMode mode, std::uint64_t seed)
     // The draws must actually reach the arms they are meant to cover.
     double overflow = 0.0;
     double desyncs = 0.0;
+    std::uint64_t discarded = 0;
     for (std::size_t r = 0; r < kRows; ++r) {
         overflow += scalar_side.shard.capOverflowJ[r];
         desyncs += scalar_side.shard.rtcDesyncs[r];
+        discarded += scalar_side.shard.stats[r].samplesDiscarded.value();
     }
     EXPECT_GT(gap_lanes, 0u);
+    EXPECT_GT(gapless_slots, 0u);
     EXPECT_GT(overflow, 0.0);
     EXPECT_GT(desyncs, 0.0);
+    EXPECT_GT(discarded, 0u);
     if (mode == OperatingMode::FiosNvMote) {
         EXPECT_GT(flush_lanes, 0u);
     }

@@ -1076,6 +1076,88 @@ TEST(Resume, ChainedResumeStaysBitIdentical)
     EXPECT_EQ(twice->run(), reference);
 }
 
+// ---------------------------------------------------------------------
+// Row schedule (ChainEngine::scheduleFor)
+// ---------------------------------------------------------------------
+
+/**
+ * Step @p sys through slots [from, to), one runWindow each.  After
+ * every slot, each chain's row schedule must name memberForSlot's
+ * clone (facade and shard row) in every logical position, and exactly
+ * those clones — no sibling — must have banked the slot.
+ */
+void
+expectScheduleFollowsMemberForSlot(FogSystem &sys, std::int64_t from,
+                                   std::int64_t to)
+{
+    const Tick interval = sys.config().slotInterval;
+    for (std::int64_t s = from; s < to; ++s) {
+        sys.runWindow(s, s + 1);
+        for (const auto &engine : sys.chains()) {
+            const ChainEngine::SlotSchedule &sched = engine->scheduleFor(s);
+            ASSERT_EQ(sched.nodes.size(), engine->groups().size());
+            for (std::size_t l = 0; l < engine->groups().size(); ++l) {
+                const CloneGroup &g = engine->groups()[l];
+                const Node *oracle =
+                    engine->nodes()[g.memberForSlot(s)].get();
+                ASSERT_EQ(sched.nodes[l], oracle)
+                    << "chain " << engine->chainIndex() << ", slot " << s
+                    << ", position " << l;
+                ASSERT_EQ(sched.rows[l], oracle->shardRow());
+                for (const std::size_t m : g.members()) {
+                    const Node &clone = *engine->nodes()[m];
+                    ASSERT_EQ(clone.lastAccrualTime() == (s + 1) * interval,
+                              &clone == oracle)
+                        << "slot " << s << ", clone " << m;
+                }
+            }
+        }
+    }
+}
+
+class RowScheduleTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(RowScheduleTest, FollowsMemberForSlotAcrossRotationsAndResume)
+{
+    const int mux = GetParam();
+    const ScratchDir dir("row_schedule_mux" + std::to_string(mux));
+    ScenarioConfig cfg = presets::fig13(presets::fiosNeofog(), mux);
+    cfg.chains = 2;
+    cfg.seed = 91;
+    cfg.horizon = 60 * cfg.slotInterval;
+    // Rotations at slots 7, 14, ...; checkpoints at 10, 20, ... land
+    // mid-epoch, with a rotation already applied.
+    cfg.membershipUpdateInterval = 7 * cfg.slotInterval;
+    cfg.snapshot.everySlots = 10;
+    cfg.snapshot.dir = dir.path();
+    const std::int64_t slots = cfg.slotCount();
+    ASSERT_EQ(slots, 60);
+
+    FogSystem whole(cfg);
+    expectScheduleFollowsMemberForSlot(whole, 0, slots);
+    whole.finalizeShards();
+    if (mux > 1) {
+        EXPECT_EQ(whole.chains()[0]->groups()[0].rotation(), 8);
+    }
+
+    // Resume mid-epoch: the restored rotation alone picks the rows.
+    for (const std::int64_t split : {10, 30}) {
+        auto resumed = FogSystem::resume(
+            dir.file(snapshot::snapshotFileName(split)), 1);
+        ASSERT_EQ(resumed->resumeSlot(), split);
+        expectScheduleFollowsMemberForSlot(*resumed, split, slots);
+        resumed->finalizeShards();
+        for (std::size_t c = 0; c < cfg.chains; ++c)
+            EXPECT_EQ(resumed->chains()[c]->shard(),
+                      whole.chains()[c]->shard())
+                << "split " << split << ", chain " << c;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Mux, RowScheduleTest, ::testing::Values(1, 2, 3, 4));
+
 // Forest nodes (fig 10: an independent trace per node) integrate their
 // income straight from the trace, which keeps no stream position: a
 // resume split in daylight and one after sunset both land on the

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <tuple>
 
 #include "fog/fog_system.hh"
@@ -132,23 +131,31 @@ TEST(SystemEndurance, ThreeDayRunStaysSane)
     }
 }
 
-TEST(SystemStats, DumpContainsPerNodeCounters)
+TEST(SystemStats, ReportFoldsNodeCountersAndWatchesOneNode)
 {
     ScenarioConfig cfg = presets::fig10(presets::fiosNeofog(), 0);
     cfg.horizon = 30 * kMin;
     cfg.probes.watchNodes = {4};
     FogSystem sys(cfg);
-    sys.run();
-    std::ostringstream oss;
-    sys.dumpStats(oss);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("chain0.node0.wakeups"), std::string::npos);
-    EXPECT_NE(out.find("chain0.node9.packagesInFog"),
-              std::string::npos);
+    const SystemReport r = sys.run();
+    // The report folds every node's counters, chain by chain.
+    std::uint64_t wakeups = 0;
+    std::uint64_t in_fog = 0;
+    for (const auto &engine : sys.chains()) {
+        for (const auto &node : engine->nodes()) {
+            wakeups += node->stats().wakeups.value();
+            in_fog += node->stats().packagesInFog.value();
+        }
+    }
+    EXPECT_GT(r.wakeups, 0u);
+    EXPECT_EQ(r.wakeups, wakeups);
+    EXPECT_GT(r.packagesInFog, 0u);
+    EXPECT_EQ(r.packagesInFog, in_fog);
     // Only the watched node has a series: one point per slot at mux 1.
-    EXPECT_NE(out.find("chain0.node4.storedEnergyMj.points 150\n"),
-              std::string::npos);
-    EXPECT_EQ(out.find("chain0.node0.storedEnergyMj"), std::string::npos);
+    const RingSeries *watched = sys.chains()[0]->watchedSeries(4);
+    ASSERT_NE(watched, nullptr);
+    EXPECT_EQ(watched->size(), 150u);
+    EXPECT_EQ(sys.chains()[0]->watchedSeries(0), nullptr);
 }
 
 } // namespace
